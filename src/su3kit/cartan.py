@@ -18,6 +18,15 @@ Everything else is linear algebra on b and c:
 * invariant one-forms ``omega^l = -i b[l, k] dx^k`` (dual to the fields);
 * the Haar density from |det b|.
 
+``left_coeffs``, ``right_coeffs``, ``left_fields``, ``right_fields``,
+``left_forms``, ``right_forms``, ``frame`` and ``haar_density_closed`` also
+take an (n, 8) array of points and return the stack of their per-point
+results.  The batch path does the per-point arithmetic on stacked arrays:
+stacked products of the same factor matrices build the prefix (or suffix)
+frames, and one trace projection fills each column.  Its results equal the
+per-point ones (to the bit with numpy 2.4).  One point still runs the
+per-point code, which is the faster of the two at n = 1.
+
 Rows of every 8x8 matrix here are algebra indices (1..8), columns are chart
 coordinates in the order (alpha, beta, gamma, theta, a, b, c, phi).
 """
@@ -29,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .algebra import LAMBDA, expand_hermitian
-from .group import ANGLE_NAMES, FACTOR_GENERATORS, _angles_array, exp_generator
+from .algebra import IDENTITY3, LAMBDA, expand_hermitian
+from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _factor_stack,
+                    exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -41,9 +51,36 @@ class DegenerateChartError(ValueError):
     """Raised when fields/forms are requested on a degenerate stratum."""
 
 
+def _points(angles) -> np.ndarray:
+    """One chart point as (8,), or an (n, 8) batch of them, as floats."""
+    p = angles.as_array() if isinstance(angles, EulerAngles) else np.asarray(angles, dtype=float)
+    if p.shape != (8,) and (p.ndim != 2 or p.shape[1] != 8):
+        raise ValueError("expected an EulerAngles, 8 reals or an (n, 8) array of chart points")
+    return p
+
+
+def _project(m: np.ndarray) -> np.ndarray:
+    """expand_hermitian over an (n, 3, 3) stack, giving (n, 8)."""
+    return np.einsum('nab,kba->nk', m, LAMBDA).real / 2.0
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().transpose(0, 2, 1)
+
+
 def left_coeffs(angles) -> np.ndarray:
-    """Exact coefficient matrix b with ``dD/dx_j = i b[k, j] l_k D``."""
-    p = _angles_array(angles)
+    """Exact coefficient matrix b with ``dD/dx_j = i b[k, j] l_k D``.
+
+    An (n, 8) array of points gives the (n, 8, 8) stack of their b.
+    """
+    p = _points(angles)
+    if p.ndim == 2:
+        b = np.empty((len(p), 8, 8))
+        prefix = np.broadcast_to(IDENTITY3, (len(p), 3, 3))
+        for j, k in enumerate(FACTOR_GENERATORS):
+            b[:, :, j] = _project(prefix @ LAMBDA[k - 1] @ _dagger(prefix))
+            prefix = prefix @ _factor_stack(k, p[:, j])
+        return b
     b = np.empty((8, 8))
     prefix = np.eye(3, dtype=complex)
     for j in range(8):
@@ -54,8 +91,19 @@ def left_coeffs(angles) -> np.ndarray:
 
 
 def right_coeffs(angles) -> np.ndarray:
-    """Exact coefficient matrix c with ``D^dag dD/dx_j = i c[k, j] l_k``."""
-    p = _angles_array(angles)
+    """Exact coefficient matrix c with ``D^dag dD/dx_j = i c[k, j] l_k``.
+
+    An (n, 8) array of points gives the (n, 8, 8) stack of their c.
+    """
+    p = _points(angles)
+    if p.ndim == 2:
+        c = np.empty((len(p), 8, 8))
+        suffix = np.broadcast_to(IDENTITY3, (len(p), 3, 3))
+        for j in range(7, -1, -1):
+            k = FACTOR_GENERATORS[j]
+            suffix = _factor_stack(k, p[:, j]) @ suffix
+            c[:, :, j] = _project(_dagger(suffix) @ LAMBDA[k - 1] @ suffix)
+        return c
     c = np.empty((8, 8))
     suffix = np.eye(3, dtype=complex)
     for j in range(7, -1, -1):
@@ -65,18 +113,23 @@ def right_coeffs(angles) -> np.ndarray:
     return c
 
 
-def _check_nondegenerate(angles) -> None:
-    p = _angles_array(angles)
-    factors = {
-        "sin(2 beta)": np.sin(2 * p[1]),
-        "sin(2 theta)": np.sin(2 * p[3]),
-        "sin(theta)": np.sin(p[3]),
-        "sin(2 b)": np.sin(2 * p[5]),
-    }
-    for name, value in factors.items():
-        if abs(value) < 1e-13:
+# (name, coordinate, multiple of it) of each sine factor of the Haar density
+_DENSITY_SINES = (("sin(2 beta)", 1, 2), ("sin(2 theta)", 3, 2),
+                  ("sin(theta)", 3, 1), ("sin(2 b)", 5, 2))
+
+
+def _check_nondegenerate(p: np.ndarray) -> None:
+    """Raise DegenerateChartError if the point, or any row of a batch, is
+    on a stratum where a sine factor of the Haar density vanishes."""
+    for name, j, m in _DENSITY_SINES:
+        if p.ndim == 1:
+            where = " here" if abs(np.sin(m * p[j])) < 1e-13 else None
+        else:
+            rows = np.flatnonzero(np.abs(np.sin(m * p[:, j])) < 1e-13)
+            where = f" at row {rows[0]}" if rows.size else None
+        if where is not None:
             raise DegenerateChartError(
-                f"chart is degenerate here: Haar density factor {name} vanishes")
+                f"chart is degenerate{where}: Haar density factor {name} vanishes")
 
 
 def left_fields(angles) -> np.ndarray:
@@ -87,14 +140,16 @@ def left_fields(angles) -> np.ndarray:
     DegenerateChartError
         On strata where the Haar density vanishes and b is singular.
     """
-    _check_nondegenerate(angles)
-    return np.linalg.inv(left_coeffs(angles).T)
+    p = _points(angles)
+    _check_nondegenerate(p)
+    return np.linalg.inv(left_coeffs(p).swapaxes(-1, -2))
 
 
 def right_fields(angles) -> np.ndarray:
     """Coefficients of the right invariant fields, Lambda^r_i = i A[i, j] d_j."""
-    _check_nondegenerate(angles)
-    return np.linalg.inv(right_coeffs(angles).T)
+    p = _points(angles)
+    _check_nondegenerate(p)
+    return np.linalg.inv(right_coeffs(p).swapaxes(-1, -2))
 
 
 def left_forms(angles) -> np.ndarray:
@@ -102,19 +157,25 @@ def left_forms(angles) -> np.ndarray:
 
     Dual to :func:`left_fields` by construction: ``B @ A.T = identity``.
     """
-    _check_nondegenerate(angles)
-    return left_coeffs(angles)
+    p = _points(angles)
+    _check_nondegenerate(p)
+    return left_coeffs(p)
 
 
 def right_forms(angles) -> np.ndarray:
     """Coefficients of the right invariant forms, omega^l_r = -i C[l, k] dx^k."""
-    _check_nondegenerate(angles)
-    return right_coeffs(angles)
+    p = _points(angles)
+    _check_nondegenerate(p)
+    return right_coeffs(p)
 
 
 @dataclass(frozen=True)
 class FrameAtPoint:
-    """All four coefficient matrices of the invariant (co)frame at one point."""
+    """All four coefficient matrices of the invariant (co)frame at one point.
+
+    For an (n, 8) batch of points every field holds the stack of the
+    per-point values.
+    """
 
     point: np.ndarray
     b_left: np.ndarray
@@ -124,12 +185,12 @@ class FrameAtPoint:
 
 
 def frame(angles) -> FrameAtPoint:
-    p = _angles_array(angles)
+    p = _points(angles)
     b = left_coeffs(p)
     c = right_coeffs(p)
     _check_nondegenerate(p)
-    return FrameAtPoint(point=p, b_left=b, a_left=np.linalg.inv(b.T),
-                        b_right=c, a_right=np.linalg.inv(c.T))
+    return FrameAtPoint(point=p, b_left=b, a_left=np.linalg.inv(b.swapaxes(-1, -2)),
+                        b_right=c, a_right=np.linalg.inv(c.swapaxes(-1, -2)))
 
 
 def save_coeff_csv(matrix: np.ndarray, path_or_file) -> None:
@@ -161,10 +222,18 @@ def haar_density(angles) -> float:
     return float(abs(np.linalg.det(left_coeffs(angles))) / DENSITY_DET_RATIO)
 
 
-def haar_density_closed(angles) -> float:
-    """Closed-form Haar density sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta)."""
-    p = _angles_array(angles)
-    return float(np.sin(2 * p[1]) * np.sin(2 * p[5]) * np.sin(2 * p[3]) * np.sin(p[3]) ** 2)
+def haar_density_closed(angles):
+    """Closed-form Haar density sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta).
+
+    A float for one point, an (n,) array for an (n, 8) batch.
+    """
+    p = _points(angles)
+    q = p.T      # q[j] is coordinate j of the point, or of every row
+    # float_power squares through pow() for arrays and scalars alike; an
+    # array's ``** 2`` multiplies instead and can differ in the last bit
+    value = (np.sin(2 * q[1]) * np.sin(2 * q[5]) * np.sin(2 * q[3])
+             * np.float_power(np.sin(q[3]), 2))
+    return float(value) if p.ndim == 1 else value
 
 
 @dataclass(frozen=True)
@@ -227,10 +296,10 @@ def closed_form_comparison(points=None, seed: int = 0, n_points: int = 32,
         points = rng.uniform(0.15, 1.35, size=(n_points, 8))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     deviations = {name: np.zeros((8, 8)) for name in _TABLES}
-    for p in points:
-        for name, (tabulated, exact) in _TABLES.items():
-            dev = np.abs(tabulated(p) - exact(p))
-            np.maximum(deviations[name], dev, out=deviations[name])
+    for name, (tabulated, exact) in _TABLES.items():
+        for p, value in zip(points, exact(points)):
+            np.maximum(deviations[name], np.abs(tabulated(p) - value),
+                       out=deviations[name])
     catalogue = frozenset(
         (name, r + 1, ANGLE_NAMES[k])
         for name, dev in deviations.items()

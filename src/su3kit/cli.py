@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import measure, phase, verify
-from .group import EulerAngles, assert_group_element, compose, decompose, unitarity_residual
+from .group import EulerAngles, compose, decompose, unitarity_residual
 
 
 def matrix_to_json(u: np.ndarray) -> dict:
@@ -81,10 +80,9 @@ def _cmd_decompose(args) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, f"bad matrix JSON: {exc}")
     try:
-        assert_group_element(u, tol=args.tol)
+        angles, flags = decompose(u, tol=args.tol)
     except ValueError as exc:
         return _fail(2, str(exc))
-    angles, flags = decompose(u, tol=args.tol)
     _emit({"angles": angles.as_dict(), "stratum_flags": flags})
     return 0
 
@@ -151,13 +149,8 @@ def _rectangle_phase(spec: dict, loop: phase.LoopSpec) -> float:
 
 
 def _cmd_verify(args) -> int:
-    threads = os.environ.get("SU3_THREADS")
-    if threads is not None:
-        print(f"SU3_THREADS={threads} (worker cap; results are worker-independent)",
-              file=sys.stderr)
     checks = verify.run_checks(level=args.level, seed=args.seed, tol_scale=args.tol)
-    from .cartan import closed_form_comparison
-    catalogue = sorted(closed_form_comparison(seed=args.seed).catalogue)
+    catalogue = sorted(checks.closed_form_catalogue)
     payload = {
         "level": args.level,
         "seed": args.seed,

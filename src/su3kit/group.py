@@ -124,45 +124,70 @@ def compose(angles) -> np.ndarray:
     return d
 
 
+def _cis(t: np.ndarray) -> np.ndarray:
+    """exp(i t) elementwise, equal bit for bit to the scalar np.exp(1j * t).
+
+    The array form np.exp(1j * t / SQRT3) is not: it differs from the scalar
+    one by up to an ulp, so every phase of a batch is built this way.
+    """
+    w = np.empty(np.shape(t), dtype=complex)
+    w.real = np.cos(t)
+    w.imag = np.sin(t)
+    return w
+
+
 def compose_batch(points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`compose` for an (n, 8) array of chart points."""
+    """Vectorized :func:`compose` for an (n, 8) array of chart points.
+
+    Right-multiplying by a chart factor only touches columns: an l3 or l8
+    factor scales them by phases, an l2 or l5 factor rotates two of them.
+    The product is built factor by factor that way, with no 3x3 matmuls.
+    """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 8:
         raise ValueError("compose_batch expects an (n, 8) array")
-    n = p.shape[0]
-    d = _exp_batch(FACTOR_GENERATORS[0], p[:, 0])
-    for j in range(1, 8):
-        d = d @ _exp_batch(FACTOR_GENERATORS[j], p[:, j])
-    return d
+    cols = np.zeros((3, 3, len(p)), dtype=complex)     # cols[j, i, m] = D[m, i, j]
+    w = _cis(p[:, 0])
+    cols[0, 0], cols[1, 1], cols[2, 2] = w, w.conj(), 1.0
+    for k, t in zip(FACTOR_GENERATORS[1:], p[:, 1:].T):
+        if k == 3:
+            w = _cis(t)
+            cols[0] *= w
+            cols[1] *= w.conj()
+        elif k == 8:
+            cols[:2] *= _cis(t / SQRT3)
+            cols[2] *= _cis(-2 * t / SQRT3)
+        else:
+            j = 1 if k == 2 else 2
+            c, s = np.cos(t), np.sin(t)
+            x = cols[0].copy()
+            cols[0] = c * x - s * cols[j]
+            cols[j] = s * x + c * cols[j]
+    return cols.transpose(2, 1, 0).copy()
 
 
-def _exp_batch(k: int, t: np.ndarray) -> np.ndarray:
-    out = np.zeros(t.shape + (3, 3), dtype=complex)
+def _factor_stack(k: int, t: np.ndarray) -> np.ndarray:
+    """exp_generator(k, t_m) for each angle of a 1-D array t, as (n, 3, 3).
+
+    The entries equal exp_generator's bit for bit, so a stacked product of
+    these factors reproduces the per-point matrix products exactly.
+    """
+    out = np.zeros((len(t), 3, 3), dtype=complex)
     if k == 3:
-        out[..., 0, 0] = np.exp(1j * t)
-        out[..., 1, 1] = np.exp(-1j * t)
-        out[..., 2, 2] = 1.0
+        w = _cis(t)
+        out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = w, w.conj(), 1.0
     elif k == 8:
-        w = np.exp(1j * t / SQRT3)
-        out[..., 0, 0] = w
-        out[..., 1, 1] = w
-        out[..., 2, 2] = np.exp(-2j * t / SQRT3)
-    elif k == 2:
+        w = _cis(t / SQRT3)
+        out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = w, w, _cis(-2 * t / SQRT3)
+    elif k in (2, 5):
+        j = 1 if k == 2 else 2
         c, s = np.cos(t), np.sin(t)
-        out[..., 0, 0] = c
-        out[..., 0, 1] = s
-        out[..., 1, 0] = -s
-        out[..., 1, 1] = c
-        out[..., 2, 2] = 1.0
-    elif k == 5:
-        c, s = np.cos(t), np.sin(t)
-        out[..., 0, 0] = c
-        out[..., 0, 2] = s
-        out[..., 2, 0] = -s
-        out[..., 2, 2] = c
-        out[..., 1, 1] = 1.0
+        out[:, 0, 0] = out[:, j, j] = c
+        out[:, 0, j] = s
+        out[:, j, 0] = -s
+        out[:, 3 - j, 3 - j] = 1.0
     else:
-        raise ValueError(f"unsupported batch generator {k}")
+        raise ValueError(f"generator {k} is not a chart factor")
     return out
 
 
@@ -205,19 +230,16 @@ def adjoint(g: np.ndarray) -> np.ndarray:
 def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random SU(3) matrices via QR of complex Ginibre matrices.
 
+    One stacked QR; the R-diagonal phases are divided out of Q (Mezzadri,
+    Notices AMS 54, 592, 2007) and the determinant is then scaled to 1.
     Independent of the Euler chart; used as an oracle for round-trip and
     measure tests.
     """
     z = (rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))) / np.sqrt(2)
-    out = np.empty_like(z)
-    for i in range(n):
-        q, r = np.linalg.qr(z[i])
-        # fix the R-diagonal phases, then scale det to 1
-        ph = np.diagonal(r).copy()
-        q = q * (ph / np.abs(ph)).conj()
-        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)
-        out[i] = q
-    return out
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (ph / np.abs(ph)).conj()[:, None, :]
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)[:, None, None]
 
 
 def _su2_angles(u: np.ndarray, stratum_tol: float):

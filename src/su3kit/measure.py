@@ -199,9 +199,15 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     times the box's Lebesgue volume estimates the closed form
     :func:`total_volume`.  Serves as the quadrature cross-check.
     """
-    u = _rng(seed).random((n, 8)) * REFERENCE_BOX_HIGH
-    dens = (np.sin(2 * u[:, 1]) * np.sin(2 * u[:, 5])
-            * np.sin(2 * u[:, 3]) * np.sin(u[:, 3]) ** 2)
+    rng = _rng(seed)
+    dens = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        u = rng.random((stop - start, 8))      # same stream as one (n, 8) draw
+        # only beta, theta and b enter the density
+        beta, theta, b = (u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5))
+        dens[start:stop] = (np.sin(2 * beta) * np.sin(2 * b)
+                            * np.sin(2 * theta) * np.sin(theta) ** 2)
     box = float(np.prod(REFERENCE_BOX_HIGH))
     est = box * dens.mean()
     se = box * dens.std(ddof=1) / np.sqrt(n)

@@ -204,3 +204,38 @@ def test_frame_matches_individual_constructors():
     np.testing.assert_allclose(fr.a_left, cartan.left_fields(p), atol=0)
     np.testing.assert_allclose(fr.b_right, cartan.right_coeffs(p), atol=0)
     np.testing.assert_allclose(fr.a_right, cartan.right_fields(p), atol=0)
+
+
+@pytest.mark.parametrize("fn", [cartan.left_coeffs, cartan.right_coeffs,
+                                cartan.left_fields, cartan.right_fields,
+                                cartan.left_forms, cartan.right_forms])
+def test_batch_equals_per_point(fn):
+    pts = np.concatenate([sample_haar(31, 200),
+                          np.random.default_rng(32).uniform(0.1, 1.4, (50, 8))])
+    batch = fn(pts)
+    assert batch.shape == (len(pts), 8, 8)
+    for p, m in zip(pts, batch):
+        assert np.abs(m - fn(p)).max() <= 1e-15
+
+
+def test_frame_and_closed_density_batches_equal_per_point():
+    pts = sample_haar(33, 40)
+    fr = cartan.frame(pts)
+    for k, p in enumerate(pts):
+        one = cartan.frame(p)
+        for name in ("b_left", "a_left", "b_right", "a_right"):
+            assert np.abs(getattr(fr, name)[k] - getattr(one, name)).max() <= 1e-15
+    closed = cartan.haar_density_closed(pts)
+    assert closed.shape == (40,)
+    np.testing.assert_allclose(closed, [cartan.haar_density_closed(p) for p in pts],
+                               rtol=1e-15, atol=0)
+
+
+def test_batch_with_one_row_on_a_stratum_raises():
+    pts = sample_haar(34, 6)
+    pts[4, 5] = np.pi / 2          # sin(2 b) = 0 on row 4 only
+    for fn in (cartan.left_fields, cartan.right_fields, cartan.left_forms,
+               cartan.right_forms, cartan.frame):
+        with pytest.raises(cartan.DegenerateChartError, match="row 4.*sin\\(2 b\\)"):
+            fn(pts)
+    cartan.left_coeffs(pts)        # the coefficients themselves stay defined

@@ -200,3 +200,11 @@ def test_verify_seed_variation_keeps_outcome(capsys):
         assert code == 0 and payload["passed"] is True
         assert [e for e in payload["closed_form_deviation_catalogue"]] == \
             sorted(payload["closed_form_deviation_catalogue"])
+
+
+def test_verify_reports_the_catalogue_found_at_its_seed(capsys):
+    from su3kit.cartan import closed_form_comparison
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--seed", "4")
+    payload = json.loads(out)
+    expected = sorted(closed_form_comparison(seed=4).catalogue)
+    assert payload["closed_form_deviation_catalogue"] == [list(e) for e in expected]

@@ -93,6 +93,26 @@ def test_compose_batch_matches_scalar_compose():
         np.testing.assert_allclose(batch[k], compose(pts[k]), atol=1e-15)
 
 
+def test_compose_batch_matches_series_oracle_product():
+    # independent of both chart kernels; the tolerance covers the oracle's
+    # own rounding (up to 4.4e-15 seen at these angles)
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((40, 8)) * np.pi
+    batch = group.compose_batch(pts)
+    for p, d in zip(pts, batch):
+        oracle = np.eye(3, dtype=complex)
+        for k, t in zip(group.FACTOR_GENERATORS, p):
+            oracle = oracle @ expm_taylor(1j * t * algebra.LAMBDA[k - 1])
+        np.testing.assert_allclose(d, oracle, atol=1e-14)
+
+
+def test_compose_batch_rejects_wrong_shape():
+    for bad in (np.zeros(8), np.zeros((3, 7)), np.zeros((2, 8, 1))):
+        with pytest.raises(ValueError, match="\\(n, 8\\)"):
+            group.compose_batch(bad)
+    assert group.compose_batch(np.zeros((0, 8))).shape == (0, 3, 3)
+
+
 def test_euler_angles_container():
     ang = EulerAngles.from_array(np.arange(8.0))
     assert ang.eta == pytest.approx(7.0 / SQ3)
@@ -218,3 +238,16 @@ def test_random_su3_satisfies_invariants():
     for u in group.random_su3(50, rng):
         assert group.unitarity_residual(u) <= 1e-13
         assert group.det_residual(u) <= 1e-13
+
+
+def test_random_su3_matches_per_matrix_qr_on_same_draws():
+    n = 200
+    batch = group.random_su3(n, np.random.default_rng(24))
+    rng = np.random.default_rng(24)
+    z = (rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))) / np.sqrt(2)
+    for zi, u in zip(z, batch):
+        q, r = np.linalg.qr(zi)
+        ph = np.diagonal(r)
+        q = q * (ph / np.abs(ph)).conj()
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)
+        assert np.abs(u - q).max() <= 1e-15
