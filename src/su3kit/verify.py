@@ -84,7 +84,7 @@ def run_checks(level: str = "quick", seed: int = 0, tol_scale: float = 1.0) -> C
     h = 1e-6
     fr = cartan.frame(pts)
     d = group.compose_batch(_shifted(pts, h).reshape(-1, 8)).reshape(n_pts, 17, 3, 3)
-    d0 = d[:, :1]
+    d0 = d[:, :1]                                   # (n, 1, 3, 3), broadcasts over the 8 l_i
     dmat = (d[:, 1:9] - d[:, 9:]) / (2 * h)         # (n, 8 coordinates, 3, 3)
     lhs = 1j * np.einsum('nij,njab->niab', fr.a_left, dmat)
     worst_l = float(np.abs(lhs + algebra.LAMBDA @ d0).max())
