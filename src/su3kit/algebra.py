@@ -99,12 +99,15 @@ def anticommutator_tensor_check() -> np.ndarray:
 
 
 def star(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric d-tensor product ``(a * b)_i = sqrt(3) d_ijk a_j b_k``."""
+    """Symmetric d-tensor product ``(a * b)_i = sqrt(3) d_ijk a_j b_k``.
+
+    Two (..., 8) stacks of vectors give the (..., 8) stack of their products.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (8,) or b.shape != (8,):
-        raise ValueError("star expects two 8-component real vectors")
-    return SQRT3 * np.einsum('ijk,j,k->i', D_TENSOR, a, b)
+    if a.shape[-1:] != (8,) or b.shape[-1:] != (8,):
+        raise ValueError("star expects two 8-component real vectors, or stacks of them")
+    return SQRT3 * np.einsum('ijk,...j,...k->...i', D_TENSOR, a, b)
 
 
 def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +140,11 @@ def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
 
 
 def expand_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real coefficients of a Hermitian traceless matrix (fast path, no checks)."""
-    return np.einsum('ab,kba->k', np.asarray(m, dtype=complex), LAMBDA).real / 2.0
+    """Real coefficients of a Hermitian traceless matrix (fast path, no checks).
+
+    A (..., 3, 3) stack of matrices gives the (..., 8) stack of coefficients.
+    """
+    return np.einsum('...ab,kba->...k', np.asarray(m, dtype=complex), LAMBDA).real / 2.0
 
 
 def from_coefficients(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:

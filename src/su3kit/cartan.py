@@ -39,8 +39,8 @@ import numpy as np
 
 from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
-from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _factor_stack,
-                    exp_generator)
+from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _dagger,
+                    _factor_stack, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -59,15 +59,6 @@ def _points(angles) -> np.ndarray:
     return p
 
 
-def _project(m: np.ndarray) -> np.ndarray:
-    """expand_hermitian over an (n, 3, 3) stack, giving (n, 8)."""
-    return np.einsum('nab,kba->nk', m, LAMBDA).real / 2.0
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().transpose(0, 2, 1)
-
-
 def left_coeffs(angles) -> np.ndarray:
     """Exact coefficient matrix b with ``dD/dx_j = i b[k, j] l_k D``.
 
@@ -78,7 +69,7 @@ def left_coeffs(angles) -> np.ndarray:
         b = np.empty((len(p), 8, 8))
         prefix = np.broadcast_to(IDENTITY3, (len(p), 3, 3))
         for j, k in enumerate(FACTOR_GENERATORS):
-            b[:, :, j] = _project(prefix @ LAMBDA[k - 1] @ _dagger(prefix))
+            b[:, :, j] = expand_hermitian(prefix @ LAMBDA[k - 1] @ _dagger(prefix))
             prefix = prefix @ _factor_stack(k, p[:, j])
         return b
     b = np.empty((8, 8))
@@ -102,7 +93,7 @@ def right_coeffs(angles) -> np.ndarray:
         for j in range(7, -1, -1):
             k = FACTOR_GENERATORS[j]
             suffix = _factor_stack(k, p[:, j]) @ suffix
-            c[:, :, j] = _project(_dagger(suffix) @ LAMBDA[k - 1] @ suffix)
+            c[:, :, j] = expand_hermitian(_dagger(suffix) @ LAMBDA[k - 1] @ suffix)
         return c
     c = np.empty((8, 8))
     suffix = np.eye(3, dtype=complex)

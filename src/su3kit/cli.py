@@ -65,6 +65,8 @@ def _cmd_compose(args) -> int:
         angles = EulerAngles.from_array(values)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, f"bad angles: {exc}")
+    if not np.all(np.isfinite(values)):
+        return _fail(2, "bad angles: every angle must be finite")
     u = compose(angles)
     print(f"unitarity residual {unitarity_residual(u):.3e}", file=sys.stderr)
     _emit(matrix_to_json(u))
@@ -209,6 +211,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compose" and args.angles is None and len(args.values) != 8:
         return _fail(2, "compose needs --angles JSON or exactly 8 positional radians")
+    # a seed keys a Philox stream, whose key is a 128-bit unsigned integer
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 128:
+        return _fail(2, "--seed must be an integer in [0, 2**128)")
     return args.func(args)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LAMBDA, SQRT3, expand_hermitian
+from .algebra import IDENTITY3, LAMBDA, SQRT3, expand_hermitian
 
 ANGLE_NAMES = ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")
 
@@ -191,6 +191,11 @@ def _factor_stack(k: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def unitarity_residual(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     return float(np.abs(u.conj().T @ u - np.eye(3)).max())
@@ -201,13 +206,30 @@ def det_residual(u: np.ndarray) -> float:
 
 
 def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise ValueError naming the residual if u is not in SU(3) within tol."""
-    ru = unitarity_residual(u)
-    if ru > tol:
-        raise ValueError(f"matrix is not unitary: residual {ru:.3e} exceeds {tol:.1e}")
-    rd = det_residual(u)
-    if rd > tol:
-        raise ValueError(f"determinant differs from 1 by {rd:.3e} (tol {tol:.1e})")
+    """Raise ValueError naming the residual if u is not in SU(3) within tol.
+
+    An (n, 3, 3) stack is checked matrix by matrix, and the message names
+    the first bad row.  A NaN residual fails, as does any other that is not
+    within tol.
+    """
+    u = np.asarray(u, dtype=complex)
+    where = ""
+    if u.ndim == 3:
+        with np.errstate(invalid="ignore"):     # non-finite rows are reported below
+            ru = np.abs(_dagger(u) @ u - IDENTITY3).max(axis=(1, 2))
+            rd = np.abs(np.linalg.det(u) - 1.0)
+        bad = np.flatnonzero(~((ru <= tol) & (rd <= tol)))
+        if bad.size == 0:
+            return
+        ru, rd, where = ru[bad[0]], rd[bad[0]], f" at row {bad[0]}"
+    else:
+        ru = unitarity_residual(u)
+    if not ru <= tol:
+        raise ValueError(f"matrix{where} is not unitary: residual {ru:.3e} exceeds {tol:.1e}")
+    if u.ndim == 2:
+        rd = det_residual(u)
+    if not rd <= tol:
+        raise ValueError(f"determinant{where} differs from 1 by {rd:.3e} (tol {tol:.1e})")
 
 
 def adjoint(g: np.ndarray) -> np.ndarray:
@@ -218,13 +240,11 @@ def adjoint(g: np.ndarray) -> np.ndarray:
     invariant fields satisfy ``Lambda^r = R Lambda`` rowwise.  Under group
     multiplication this row convention composes in reverse order:
     ``adjoint(g @ h) = adjoint(h) @ adjoint(g)``.
+
+    A (..., 3, 3) stack of elements gives the (..., 8, 8) stack of their R.
     """
-    g = np.asarray(g, dtype=complex)
-    r = np.empty((8, 8))
-    gd = g.conj().T
-    for i in range(8):
-        r[i] = expand_hermitian(g @ LAMBDA[i] @ gd)
-    return r
+    g = np.asarray(g, dtype=complex)[..., None, :, :]
+    return expand_hermitian(g @ LAMBDA @ _dagger(g))
 
 
 def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,8 +283,7 @@ def _su2_angles(u: np.ndarray, stratum_tol: float):
     return a, b, c, []
 
 
-def decompose(u: np.ndarray, tol: float = 1e-8,
-              stratum_tol: float = 1e-12) -> tuple[EulerAngles, list[str]]:
+def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
     """Chart coordinates of an SU(3) matrix (inverse of :func:`compose`).
 
     The third column fixes theta, beta, phi and the first SU(2) block;
@@ -273,7 +292,7 @@ def decompose(u: np.ndarray, tol: float = 1e-8,
 
     Parameters
     ----------
-    u : (3, 3) array_like
+    u : (3, 3) array_like, or an (n, 3, 3) stack
         Matrix satisfying the SU(3) invariants within ``tol``.
     tol : float
         Admission tolerance for unitarity / determinant of the input.
@@ -288,9 +307,15 @@ def decompose(u: np.ndarray, tol: float = 1e-8,
         ``angles`` reproduce u through :func:`compose` to near machine
         precision; ``flags`` lists the degenerate strata encountered
         (subset of ``theta=0, theta=pi/2, beta=0, beta=pi/2, b=0, b=pi/2``).
+        For an (n, 3, 3) stack, ``angles`` is an (n, 8) array with columns
+        in ``ANGLE_NAMES`` order and ``flags`` a list of n such lists.
     """
     u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (3, 3):
+        raise ValueError("decompose expects a 3x3 matrix or an (n, 3, 3) stack")
     assert_group_element(u, tol)
+    if u.ndim == 3:
+        return _decompose_stack(u, stratum_tol)
     flags: list[str] = []
 
     psi = u[:, 2]
@@ -339,3 +364,53 @@ def decompose(u: np.ndarray, tol: float = 1e-8,
 
     angles = EulerAngles(alpha, beta, gamma, theta, a, b, c, phi)
     return angles, flags
+
+
+def _decompose_stack(u: np.ndarray, stratum_tol: float):
+    """:func:`decompose` of an (n, 3, 3) stack of admitted matrices.
+
+    The per-matrix arithmetic on whole columns: each stratum branch of the
+    one-matrix code is a row mask, and the stripping products are stacked
+    products of chart factors.
+    """
+    tau = 2 * np.pi
+    psi = u[:, :, 2]
+    m1, m2, m3 = np.abs(psi).T
+    stheta = np.hypot(m1, m2)
+    theta0 = stheta <= stratum_tol
+    theta_half = ~theta0 & (m3 <= stratum_tol)
+    beta0 = ~theta0 & (m2 <= stratum_tol)
+    beta_half = ~theta0 & ~beta0 & (m1 <= stratum_tol)
+    generic = ~(theta0 | beta0 | beta_half)
+
+    theta = np.select([theta0, theta_half], [0.0, np.pi / 2], np.arctan2(stheta, m3))
+    phi_pre = np.where(theta0 | theta_half, 0.0,
+                       (SQRT3 / 2.0) * ((-np.angle(psi[:, 2])) % tau))
+    shift = 2.0 * phi_pre / SQRT3
+    s1 = np.angle(psi[:, 0]) + shift                # alpha + gamma
+    d1 = np.angle(-psi[:, 1]) + shift               # gamma - alpha
+    alpha = np.where(generic, ((s1 - d1) / 2.0) % np.pi, 0.0)
+    gamma = np.select([generic, beta0, beta_half], [(s1 - alpha) % tau, s1 % tau, d1 % tau], 0.0)
+    beta = np.select([theta0 | beta0, beta_half], [0.0, np.pi / 2], np.arctan2(m2, m1))
+
+    left = _factor_stack(3, alpha) @ _factor_stack(2, beta) @ _factor_stack(3, gamma)
+    residual = _factor_stack(5, -theta) @ _dagger(left) @ u
+    phi = (SQRT3 / 2.0) * ((-np.angle(residual[:, 2, 2])) % tau)
+    block = residual[:, :2, :2] * _cis(-phi / SQRT3)[:, None, None]
+
+    cb = np.abs(block[:, 0, 0])
+    sb = np.abs(block[:, 0, 1])
+    b0 = sb <= stratum_tol
+    b_half = ~b0 & (cb <= stratum_tol)
+    s2 = np.angle(block[:, 0, 0])                   # a + c
+    d2 = np.angle(block[:, 0, 1])                   # a - c
+    a = np.where(b0 | b_half, 0.0, ((s2 + d2) / 2.0) % np.pi)
+    c = np.select([b0, b_half], [s2 % tau, (-d2) % tau], (s2 - a) % tau)
+    b = np.select([b0, b_half], [0.0, np.pi / 2], np.arctan2(sb, cb))
+
+    flags: list[list[str]] = [[] for _ in range(len(u))]
+    for name, rows in (("theta=0", theta0), ("theta=pi/2", theta_half), ("beta=0", beta0),
+                       ("beta=pi/2", beta_half), ("b=0", b0), ("b=pi/2", b_half)):
+        for i in np.flatnonzero(rows):
+            flags[i].append(name)
+    return np.stack([alpha, beta, gamma, theta, a, b, c, phi], axis=1), flags

@@ -172,18 +172,37 @@ class OrthogonalityReport:
 
 
 def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
-    """Estimate all 81 fundamental-representation orthogonality integrals."""
+    """Estimate all 81 fundamental-representation orthogonality integrals.
+
+    With the nine entries of D flattened to D_p, only the 45 products
+    D_p conj(D_q) with p <= q are summed; the rest are their exact complex
+    conjugates.  The diagonal |D_p|^2 is summed as a real number, so its
+    imaginary part and standard error are exactly 0.
+    """
     angles = sample_haar(seed, n)
-    s = np.zeros((3, 3, 3, 3), dtype=complex)
-    s2_re = np.zeros((3, 3, 3, 3))
-    s2_im = np.zeros((3, 3, 3, 3))
+    s_re, s_im = np.zeros((9, 9)), np.zeros((9, 9))
+    s2_re, s2_im = np.zeros((9, 9)), np.zeros((9, 9))
     for start in range(0, n, _CHUNK):
-        d = compose_batch(angles[start:min(start + _CHUNK, n)])
-        prod = np.einsum('mij,mkl->mijkl', d, d.conj())
-        s += prod.sum(axis=0)
-        s2_re += (prod.real ** 2).sum(axis=0)
-        s2_im += (prod.imag ** 2).sum(axis=0)
-    est = s / n
+        flat = compose_batch(angles[start:min(start + _CHUNK, n)]).reshape(-1, 9).T
+        re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
+        # one pair at a time keeps the temporaries in cache
+        for p in range(9):
+            sq = re[p] * re[p] + im[p] * im[p]
+            s_re[p, p] += sq.sum()
+            s2_re[p, p] += (sq * sq).sum()
+            for q in range(p + 1, 9):
+                pr = re[p] * re[q] + im[p] * im[q]
+                pi = im[p] * re[q] - re[p] * im[q]
+                s_re[p, q] += pr.sum()
+                s_im[p, q] += pi.sum()
+                s2_re[p, q] += (pr * pr).sum()
+                s2_im[p, q] += (pi * pi).sum()
+    upper = np.triu_indices(9, 1)
+    lower = upper[::-1]
+    s_re[lower], s_im[lower] = s_re[upper], -s_im[upper]
+    s2_re[lower], s2_im[lower] = s2_re[upper], s2_im[upper]
+    est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
+    s2_re, s2_im = s2_re.reshape(3, 3, 3, 3), s2_im.reshape(3, 3, 3, 3)
     var_re = np.maximum(s2_re / n - est.real ** 2, 0.0) * n / (n - 1)
     var_im = np.maximum(s2_im / n - est.imag ** 2, 0.0) * n / (n - 1)
     return OrthogonalityReport(estimates=est,

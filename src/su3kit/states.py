@@ -14,12 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import IDENTITY3, LAMBDA, SQRT3, expand_hermitian, star
-from .group import _angles_array, compose
+from .group import _angles_array, _dagger, compose
 
 
 @dataclass(frozen=True)
 class DensityState:
-    """A pure three-level state: 3x3 density matrix plus coherence vector."""
+    """A pure three-level state: 3x3 density matrix plus coherence vector.
+
+    From a stack of group elements, ``rho`` is an (..., 3, 3) stack and
+    ``n`` the matching (..., 8) stack.
+    """
 
     rho: np.ndarray
     n: np.ndarray
@@ -30,18 +34,21 @@ class DensityState:
                 "n": self.n.tolist()}
 
     def constraint_residuals(self) -> dict:
-        """Residuals of the pure-state constraints (all should be ~0)."""
+        """Residuals of the pure-state constraints (all should be ~0).
+
+        Floats for one state; for a stack, arrays with one entry per state.
+        """
         rho, n = self.rho, self.n
-        return {
-            "hermiticity": float(np.abs(rho - rho.conj().T).max()),
-            "trace": float(abs(np.trace(rho) - 1.0)),
-            "idempotency": float(np.abs(rho @ rho - rho).max()),
-            "unit_norm": float(abs(n @ n - 1.0)),
-            "star_identity": float(np.abs(star(n, n) - n).max()),
-            "reconstruction": float(np.abs(
-                (IDENTITY3 + SQRT3 * np.einsum('k,kab->ab', n, LAMBDA)) / 3.0
-                - rho).max()),
+        recon = (IDENTITY3 + SQRT3 * np.einsum('...k,kab->...ab', n, LAMBDA)) / 3.0
+        worst = {
+            "hermiticity": np.abs(rho - _dagger(rho)).max(axis=(-2, -1)),
+            "trace": np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0),
+            "idempotency": np.abs(rho @ rho - rho).max(axis=(-2, -1)),
+            "unit_norm": np.abs(np.einsum('...k,...k->...', n, n) - 1.0),
+            "star_identity": np.abs(star(n, n) - n).max(axis=-1),
+            "reconstruction": np.abs(recon - rho).max(axis=(-2, -1)),
         }
+        return {key: float(r) if r.ndim == 0 else r for key, r in worst.items()}
 
 
 def base_state() -> DensityState:
@@ -57,9 +64,10 @@ def project(g: np.ndarray) -> DensityState:
     The coherence vector is extracted by basis expansion of
     ``(3 rho - 1)/sqrt(3)``; equivalently it is minus the eighth row of
     :func:`su3kit.group.adjoint` (both are asserted equal in the tests).
+    A (..., 3, 3) stack of elements gives the stack of their states.
     """
     g = np.asarray(g, dtype=complex)
-    rho = g @ base_state().rho @ g.conj().T
+    rho = g @ base_state().rho @ _dagger(g)
     n = expand_hermitian((3.0 * rho - IDENTITY3) / SQRT3)
     return DensityState(rho=rho, n=n)
 

@@ -2,10 +2,22 @@
 
 Each check measures a residual against a documented threshold.  The quick
 level trims sample counts to run in seconds; the full level uses the
-acceptance-grade counts.  Checks are deterministic for a fixed seed, and
-the pass/fail outcome is designed to be seed-independent (thresholds sit
-orders of magnitude above the observed residuals, or are expressed in MC
-standard errors).
+acceptance-grade counts.  Checks are deterministic for a fixed seed.
+
+Not every threshold sits far above its residual.  Over the full level at
+seeds 0-399 the tightest margins measured are:
+
+* ``cartan.left_defining_relation``: 5.13e-8 against 1e-7 (seed 106);
+  its h = 1e-6 central differences are dominated by rounding;
+* the three closure checks, also finite differences: up to 2.6e-5
+  against 1e-5, failing at seeds 77, 95, 105, 283 and 316;
+* ``measure.volume_mc_3sigma``: 2.97 sigma against 3 (seed 351);
+* ``measure.orthogonality_4sigma``: up to 4.32 sigma against 4, failing
+  at seeds 124, 204, 224, 288 and 355.
+
+The Monte Carlo checks are stated in standard errors, so at a few seeds
+a fair estimate lands outside them; the other thresholds hold at every
+surveyed seed.
 """
 
 from __future__ import annotations
@@ -74,7 +86,7 @@ def run_checks(level: str = "quick", seed: int = 0, tol_scale: float = 1.0) -> C
     # chart round-trip on QR-Haar matrices
     n_rt = 1000 if full else 100
     mats = group.random_su3(n_rt, rng)
-    angles = np.array([group.decompose(u)[0].as_array() for u in mats])
+    angles, _ = group.decompose(mats)
     worst = float(np.abs(group.compose_batch(angles) - mats).max())
     add(_result("group.round_trip", worst, 1e-10 * tol_scale, f"n={n_rt}"))
 
@@ -90,8 +102,7 @@ def run_checks(level: str = "quick", seed: int = 0, tol_scale: float = 1.0) -> C
     worst_l = float(np.abs(lhs + algebra.LAMBDA @ d0).max())
     lhs = 1j * np.einsum('nij,njab->niab', fr.a_right, dmat)
     worst_r = float(np.abs(lhs + d0 @ algebra.LAMBDA).max())
-    worst_rel = max(float(np.abs(a_r - group.adjoint(g[0]) @ a_l).max())
-                    for g, a_l, a_r in zip(d0, fr.a_left, fr.a_right))
+    worst_rel = float(np.abs(fr.a_right - group.adjoint(d0[:, 0]) @ fr.a_left).max())
     add(_result("cartan.left_defining_relation", worst_l, 1e-7 * tol_scale, f"n={n_pts}"))
     add(_result("cartan.right_defining_relation", worst_r, 1e-7 * tol_scale, f"n={n_pts}"))
     add(_result("cartan.right_equals_adjoint_times_left", worst_rel, 1e-10 * tol_scale))
@@ -134,13 +145,13 @@ def run_checks(level: str = "quick", seed: int = 0, tol_scale: float = 1.0) -> C
 
     # state constraints
     n_states = 500 if full else 50
-    worst = max(max(states.project(g).constraint_residuals().values())
-                for g in group.compose_batch(_haar_points(rng, n_states)))
+    pure = states.project(group.compose_batch(_haar_points(rng, n_states)))
+    worst = max(float(r.max()) for r in pure.constraint_residuals().values())
     pts = _haar_points(rng, 20 if full else 5)
     moved = pts.copy()
     moved[:, 4:8] = rng.uniform(0.1, 1.2, (len(pts), 4))
-    stab = max(float(np.abs(states.project(g).rho - states.project(g_moved).rho).max())
-               for g, g_moved in zip(group.compose_batch(pts), group.compose_batch(moved)))
+    rho, rho_moved = (states.project(group.compose_batch(p)).rho for p in (pts, moved))
+    stab = float(np.abs(rho - rho_moved).max())
     add(_result("states.pure_state_constraints", worst, 1e-11 * tol_scale, f"n={n_states}"))
     add(_result("states.stabilizer_invariance", stab, 1e-12 * tol_scale))
 

@@ -86,6 +86,23 @@ def test_star_symmetry_random_pairs():
         np.testing.assert_allclose(algebra.star(a, b), algebra.star(b, a), atol=1e-13)
 
 
+def test_star_and_expand_hermitian_of_stacks_equal_per_item_calls():
+    rng = np.random.default_rng(43)
+    a, b = rng.standard_normal((2, 50, 8))
+    stacked = algebra.star(a, b)
+    assert stacked.shape == (50, 8)
+    for x, y, z in zip(a, b, stacked):
+        np.testing.assert_array_equal(z, algebra.star(x, y))
+    mats = np.einsum('nk,kab->nab', a, algebra.LAMBDA).reshape(5, 10, 3, 3)
+    coeffs = algebra.expand_hermitian(mats)
+    assert coeffs.shape == (5, 10, 8)
+    for m, c in zip(mats.reshape(50, 3, 3), coeffs.reshape(50, 8)):
+        np.testing.assert_array_equal(c, algebra.expand_hermitian(m))
+    np.testing.assert_allclose(coeffs.reshape(50, 8), a, atol=1e-15)
+    with pytest.raises(ValueError, match="8-component"):
+        algebra.star(np.zeros((3, 7)), np.zeros((3, 7)))
+
+
 def test_expand_basis_elements():
     re, im = algebra.expand(algebra.LAMBDA[4])
     np.testing.assert_allclose(re, algebra.basis_vector(5), atol=1e-15)

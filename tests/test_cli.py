@@ -23,6 +23,15 @@ def test_compose_zeros_prints_identity_json(capsys):
     assert "unitarity" not in out
 
 
+def test_compose_non_finite_angle_exit_2(capsys):
+    code, out, err = run_cli(capsys, "compose", "nan", *(["0"] * 7))
+    assert code == 2 and out == "" and "finite" in err
+    angles = {**dict.fromkeys(("alpha", "beta", "gamma", "theta", "a", "b", "c"), 0.0),
+              "phi": float("inf")}
+    code, out, _ = run_cli(capsys, "compose", "--angles", json.dumps(angles))
+    assert code == 2 and out == ""
+
+
 def test_compose_accepts_named_angle_json(capsys):
     angles = dict(zip(("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi"),
                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]))
@@ -89,6 +98,13 @@ def test_haar_stdout_and_sin2_theta_mean(capsys):
     theta = np.array([float(line.split(",")[3]) for line in lines[1:]])
     s2 = np.sin(theta) ** 2
     assert abs(s2.mean() - 2 / 3) <= 3 * s2.std(ddof=1) / np.sqrt(s2.size)
+
+
+def test_haar_seed_out_of_range_exit_2(capsys):
+    for seed in ("-5", str(2 ** 128)):
+        code, out, err = run_cli(capsys, "haar", "--n", "3", "--seed", seed)
+        assert code == 2 and out == "" and "--seed" in err
+    assert run_cli(capsys, "haar", "--n", "3", "--seed", str(2 ** 128 - 1))[0] == 0
 
 
 def test_haar_write_failure_exit_3(capsys):
@@ -182,6 +198,11 @@ def test_verify_quick_passes_and_reports_catalogue(capsys):
     assert "measure.orthogonality_4sigma" in names
     assert "closed_forms.catalogue_documented" in names
     assert "pass" in err
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "-5")
+    assert code == 2 and out == "" and "--seed" in err
 
 
 def test_verify_is_deterministic_for_fixed_seed(capsys):

@@ -199,6 +199,61 @@ def test_decompose_rejects_non_unitary_input():
         decompose(bad)
 
 
+# period of each chart coordinate; None for beta, theta and b, which are not periodic
+PERIODS = (np.pi, None, 2 * np.pi, None, np.pi, None, 2 * np.pi, SQ3 * np.pi)
+
+STRATUM_POINTS = (
+    [0.4, 0.3, 0.9, 0.0, 0.2, 0.3, 0.4, 0.5],        # theta=0
+    [0.4, 0.3, 0.9, np.pi / 2, 0.2, 0.3, 0.4, 0.5],  # theta=pi/2
+    [0.4, 0.0, 0.9, 0.6, 0.2, 0.3, 0.4, 0.5],        # beta=0
+    [0.4, np.pi / 2, 0.9, 0.6, 0, 0, 0, 0],          # beta=pi/2, b=0
+    [0.4, 0.3, 0.9, 0.6, 0.2, 0.0, 0.4, 0.5],        # b=0
+    [0.4, 0.3, 0.9, 0.6, 0.2, np.pi / 2, 0.4, 0.5],  # b=pi/2
+)
+
+
+def test_decompose_stack_matches_per_matrix_calls():
+    mats = np.concatenate([group.random_su3(200, np.random.default_rng(13)),
+                           group.compose_batch(np.array(STRATUM_POINTS)),
+                           np.eye(3)[None]])
+    angles, flags = decompose(mats)
+    assert angles.shape == (len(mats), 8) and len(flags) == len(mats)
+    assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
+    seen = set()
+    for u, row, row_flags in zip(mats, angles, flags):
+        single, single_flags = decompose(u)
+        assert row_flags == single_flags
+        seen.update(row_flags)
+        for x, y, period in zip(row, single.as_array(), PERIODS):
+            gap = abs(x - y) if period is None else abs((x - y + period / 2) % period - period / 2)
+            assert gap <= 1e-14
+    assert seen == {"theta=0", "theta=pi/2", "beta=0", "beta=pi/2", "b=0", "b=pi/2"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite_matrices(bad):
+    u = compose(np.full(8, 0.3))
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose(np.full((3, 3), np.nan))
+    mats = group.random_su3(6, np.random.default_rng(14))
+    mats[4, 0, 0] = bad
+    mats[5] = np.nan
+    with pytest.raises(ValueError, match="at row 4 is not unitary"):
+        decompose(mats)
+
+
+def test_decompose_stack_names_the_first_row_off_the_group():
+    mats = group.random_su3(5, np.random.default_rng(15))
+    mats[2] = np.diag([1.0, 1.0, np.exp(0.4j)])
+    with pytest.raises(ValueError, match="determinant at row 2"):
+        decompose(mats)
+    with pytest.raises(ValueError, match="3x3 matrix or an \\(n, 3, 3\\) stack"):
+        decompose(np.eye(2))
+
+
 def test_adjoint_identity_and_lambda3_rotation():
     np.testing.assert_allclose(group.adjoint(np.eye(3)), np.eye(8), atol=1e-15)
     t = 0.37
@@ -222,6 +277,14 @@ def test_adjoint_is_special_orthogonal():
         r = group.adjoint(u)
         assert np.abs(r @ r.T - np.eye(8)).max() <= 1e-12
         assert abs(np.linalg.det(r) - 1.0) <= 1e-10
+
+
+def test_adjoint_of_a_stack_equals_per_matrix_calls():
+    mats = group.random_su3(100, np.random.default_rng(25))
+    stacked = group.adjoint(mats)
+    assert stacked.shape == (100, 8, 8)
+    for u, r in zip(mats, stacked):
+        np.testing.assert_array_equal(r, group.adjoint(u))
 
 
 def test_adjoint_composition_law_is_order_reversing():

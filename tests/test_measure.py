@@ -77,6 +77,29 @@ def test_orthogonality_suite_all_81_within_4_sigma():
                                                         report.std_error_im[0, 1, 0, 2])
 
 
+def test_orthogonality_suite_matches_all_81_products():
+    n, seed = 2000, 8
+    report = measure.orthogonality_suite(n, seed=seed)
+    d = compose_batch(measure.sample_haar(seed, n))
+    prod = np.einsum('mij,mkl->mijkl', d, d.conj())
+    np.testing.assert_allclose(report.estimates, prod.mean(axis=0), rtol=0, atol=1e-14)
+    for se, part in ((report.std_error_re, prod.real), (report.std_error_im, prod.imag)):
+        np.testing.assert_allclose(se, part.std(axis=0, ddof=1) / np.sqrt(n), rtol=0, atol=1e-14)
+
+
+def test_orthogonality_suite_is_exactly_conjugate_symmetric():
+    report = measure.orthogonality_suite(20_000, seed=9)
+    est = report.estimates
+    np.testing.assert_array_equal(est, est.transpose(2, 3, 0, 1).conj())
+    for se in (report.std_error_re, report.std_error_im):
+        np.testing.assert_array_equal(se, se.transpose(2, 3, 0, 1))
+    # the nine |D_ij|^2 entries are real
+    i, j = np.indices((3, 3))
+    assert np.all(est[i, j, i, j].imag == 0)
+    assert np.all(report.std_error_im[i, j, i, j] == 0)
+    assert np.all(report.std_error_re[i, j, i, j] > 0)
+
+
 def test_orthogonality_residual_shrinks_like_sqrt_n():
     worst_small = measure.orthogonality_suite(20_000, seed=8)
     worst_big = measure.orthogonality_suite(80_000, seed=9)

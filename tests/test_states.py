@@ -38,6 +38,21 @@ def test_projection_constraints_on_random_elements():
     assert worst <= 1e-11
 
 
+def test_project_of_a_stack_equals_per_matrix_calls():
+    mats = group.compose_batch(sample_haar(2, 200))
+    stacked = states.project(mats)
+    assert stacked.rho.shape == (200, 3, 3) and stacked.n.shape == (200, 8)
+    residuals = stacked.constraint_residuals()
+    for k, g in enumerate(mats):
+        single = states.project(g)
+        np.testing.assert_array_equal(stacked.rho[k], single.rho)
+        np.testing.assert_array_equal(stacked.n[k], single.n)
+        for key, value in single.constraint_residuals().items():
+            assert isinstance(value, float)
+            assert residuals[key].shape == (200,)
+            assert abs(residuals[key][k] - value) <= 1e-15
+
+
 def test_rho_spectrum_is_projector_spectrum():
     for p in sample_haar(2, 50):
         st = states.project(group.compose(p))
