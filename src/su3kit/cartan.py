@@ -19,13 +19,16 @@ Everything else is linear algebra on b and c:
 * the Haar density from |det b|.
 
 ``left_coeffs``, ``right_coeffs``, ``left_fields``, ``right_fields``,
-``left_forms``, ``right_forms``, ``frame`` and ``haar_density_closed`` also
-take an (n, 8) array of points and return the stack of their per-point
-results.  The batch path does the per-point arithmetic on stacked arrays:
-stacked products of the same factor matrices build the prefix (or suffix)
-frames, and one trace projection fills each column.  Its results equal the
-per-point ones (to the bit with numpy 2.4).  One point still runs the
-per-point code, which is the faster of the two at n = 1.
+``left_forms``, ``right_forms``, ``frame``, ``haar_density`` and
+``haar_density_closed`` also take an (n, 8) array of points and return the
+stack of their per-point results.  ``frame`` and ``haar_density`` at every
+n, and the coefficients, fields and forms of a batch, run one stacked
+kernel: the eight chart factors of a block of points are built at once
+(``group._factors``), seven stacked products chain them into the prefix
+(or suffix) frames, and one stacked sandwich and one trace projection give
+every column.  The one-point ``left_coeffs`` and ``right_coeffs`` keep the
+factor-by-factor code as the reference; the kernel keeps its association
+order, so its results equal the reference to the bit (numpy 2.4).
 
 Rows of every 8x8 matrix here are algebra indices (1..8), columns are chart
 coordinates in the order (alpha, beta, gamma, theta, a, b, c, phi).
@@ -39,8 +42,8 @@ import numpy as np
 
 from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
-from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _dagger,
-                    _factor_stack, exp_generator)
+from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
+                    _dagger, _factor_blocks, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -52,11 +55,47 @@ class DegenerateChartError(ValueError):
 
 
 def _points(angles) -> np.ndarray:
-    """One chart point as (8,), or an (n, 8) batch of them, as floats."""
+    """One finite chart point as (8,), or an (n, 8) batch of them, as floats."""
     p = angles.as_array() if isinstance(angles, EulerAngles) else np.asarray(angles, dtype=float)
     if p.shape != (8,) and (p.ndim != 2 or p.shape[1] != 8):
         raise ValueError("expected an EulerAngles, 8 reals or an (n, 8) array of chart points")
+    _check_finite(p)
     return p
+
+
+# generator of each chart factor, as (8, 1, 3, 3) to broadcast over a block
+_GENS = LAMBDA[np.subtract(FACTOR_GENERATORS, 1)][:, None]
+
+
+def _left_block(f: np.ndarray) -> np.ndarray:
+    """b of each point of a block from its (8, m, 3, 3) chart factors."""
+    prefix = np.empty_like(f)
+    prefix[0] = IDENTITY3
+    for j in range(1, 8):
+        prefix[j] = prefix[j - 1] @ f[j - 1]
+    return expand_hermitian((prefix @ _GENS) @ _dagger(prefix)).transpose(1, 2, 0)
+
+
+def _right_block(f: np.ndarray) -> np.ndarray:
+    """c of each point of a block from its (8, m, 3, 3) chart factors."""
+    suffix = np.empty_like(f)
+    suffix[7] = f[7]
+    for j in range(6, -1, -1):
+        suffix[j] = f[j] @ suffix[j + 1]
+    return expand_hermitian((_dagger(suffix) @ _GENS) @ suffix).transpose(1, 2, 0)
+
+
+def _coeff_stacks(p: np.ndarray, *sides) -> list:
+    """Run each side (``_left_block``, ``_right_block``) on the chart factors
+    of an (n, 8) batch, ``_BLOCK`` rows at a time; one (n, 8, 8) stack per side.
+
+    The factors of a block are built once and shared by the sides.
+    """
+    out = [np.empty((len(p), 8, 8)) for _ in sides]
+    for i, f in _factor_blocks(p):
+        for stack, side in zip(out, sides):
+            stack[i:i + _BLOCK] = side(f)
+    return out
 
 
 def left_coeffs(angles) -> np.ndarray:
@@ -66,12 +105,7 @@ def left_coeffs(angles) -> np.ndarray:
     """
     p = _points(angles)
     if p.ndim == 2:
-        b = np.empty((len(p), 8, 8))
-        prefix = np.broadcast_to(IDENTITY3, (len(p), 3, 3))
-        for j, k in enumerate(FACTOR_GENERATORS):
-            b[:, :, j] = expand_hermitian(prefix @ LAMBDA[k - 1] @ _dagger(prefix))
-            prefix = prefix @ _factor_stack(k, p[:, j])
-        return b
+        return _coeff_stacks(p, _left_block)[0]
     b = np.empty((8, 8))
     prefix = np.eye(3, dtype=complex)
     for j in range(8):
@@ -88,13 +122,7 @@ def right_coeffs(angles) -> np.ndarray:
     """
     p = _points(angles)
     if p.ndim == 2:
-        c = np.empty((len(p), 8, 8))
-        suffix = np.broadcast_to(IDENTITY3, (len(p), 3, 3))
-        for j in range(7, -1, -1):
-            k = FACTOR_GENERATORS[j]
-            suffix = _factor_stack(k, p[:, j]) @ suffix
-            c[:, :, j] = expand_hermitian(_dagger(suffix) @ LAMBDA[k - 1] @ suffix)
-        return c
+        return _coeff_stacks(p, _right_block)[0]
     c = np.empty((8, 8))
     suffix = np.eye(3, dtype=complex)
     for j in range(7, -1, -1):
@@ -177,9 +205,10 @@ class FrameAtPoint:
 
 def frame(angles) -> FrameAtPoint:
     p = _points(angles)
-    b = left_coeffs(p)
-    c = right_coeffs(p)
     _check_nondegenerate(p)
+    b, c = _coeff_stacks(p.reshape(-1, 8), _left_block, _right_block)
+    if p.ndim == 1:
+        b, c = b[0], c[0]
     return FrameAtPoint(point=p, b_left=b, a_left=np.linalg.inv(b.swapaxes(-1, -2)),
                         b_right=c, a_right=np.linalg.inv(c.swapaxes(-1, -2)))
 
@@ -203,14 +232,18 @@ def save_coeff_csv(matrix: np.ndarray, path_or_file) -> None:
             save_coeff_csv(matrix, fh)
 
 
-def haar_density(angles) -> float:
+def haar_density(angles):
     """Unnormalized Haar density |det b| / (global constant).
 
     Normalized so that the value equals
     ``sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta)`` -- the determinant
-    route is primary, the closed form serves as its cross-check.
+    route is primary, the closed form serves as its cross-check.  A float
+    for one point, an (n,) array for an (n, 8) batch.
     """
-    return float(abs(np.linalg.det(left_coeffs(angles))) / DENSITY_DET_RATIO)
+    p = _points(angles)
+    value = np.abs(np.linalg.det(_coeff_stacks(p.reshape(-1, 8), _left_block)[0]))
+    value /= DENSITY_DET_RATIO
+    return float(value[0]) if p.ndim == 1 else value
 
 
 def haar_density_closed(angles):

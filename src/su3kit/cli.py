@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import measure, phase, verify
-from .group import EulerAngles, compose, decompose, unitarity_residual
+from .group import compose, decompose, unitarity_residual
 
 
 def matrix_to_json(u: np.ndarray) -> dict:
@@ -62,12 +62,9 @@ def _cmd_compose(args) -> int:
                       ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")]
         else:
             values = [float(x) for x in args.values]
-        angles = EulerAngles.from_array(values)
+        u = compose(values)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, f"bad angles: {exc}")
-    if not np.all(np.isfinite(values)):
-        return _fail(2, "bad angles: every angle must be finite")
-    u = compose(angles)
     print(f"unitarity residual {unitarity_residual(u):.3e}", file=sys.stderr)
     _emit(matrix_to_json(u))
     return 0

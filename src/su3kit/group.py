@@ -29,6 +29,7 @@ quarter of the group and demonstrably break the orthogonality integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -83,12 +84,26 @@ class EulerAngles:
         return bool(np.all(v >= -slack) and np.all(v <= CANONICAL_HIGH + slack))
 
 
+def _check_finite(p: np.ndarray) -> None:
+    """Raise ValueError if a chart point, or any row of an (n, 8) batch of
+    them, holds a NaN or an infinity; for a batch, name the first bad row."""
+    if p.ndim == 1:
+        if not np.isfinite(p).all():
+            raise ValueError("chart angles must be finite")
+        return
+    rows = np.flatnonzero(~np.isfinite(p).all(axis=1))
+    if rows.size:
+        raise ValueError(f"chart angles must be finite: row {rows[0]} is not")
+
+
 def _angles_array(angles) -> np.ndarray:
     if isinstance(angles, EulerAngles):
-        return angles.as_array()
-    arr = np.asarray(angles, dtype=float)
-    if arr.shape != (8,):
-        raise ValueError("expected an EulerAngles or 8 reals")
+        arr = angles.as_array()
+    else:
+        arr = np.asarray(angles, dtype=float)
+        if arr.shape != (8,):
+            raise ValueError("expected an EulerAngles or 8 reals")
+    _check_finite(arr)
     return arr
 
 
@@ -117,11 +132,7 @@ def exp_generator(k: int, t: float) -> np.ndarray:
 
 def compose(angles) -> np.ndarray:
     """Chart coordinates -> SU(3) matrix (the ordered 8-factor product)."""
-    p = _angles_array(angles)
-    d = exp_generator(FACTOR_GENERATORS[0], p[0])
-    for g, t in zip(FACTOR_GENERATORS[1:], p[1:]):
-        d = d @ exp_generator(g, t)
-    return d
+    return reduce(np.matmul, _factors(_angles_array(angles)[None])[:, 0])
 
 
 def _cis(t: np.ndarray) -> np.ndarray:
@@ -166,29 +177,51 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
     return cols.transpose(2, 1, 0).copy()
 
 
-def _factor_stack(k: int, t: np.ndarray) -> np.ndarray:
-    """exp_generator(k, t_m) for each angle of a 1-D array t, as (n, 3, 3).
+# The eight chart factors with the entries that do not depend on the angle:
+# the zeros, and the 1 on the diagonal of each l3, l2 and l5 factor.
+_FACTOR_TEMPLATE = np.zeros((8, 1, 3, 3), dtype=complex)
+_FACTOR_TEMPLATE[[0, 1, 2, 4, 5, 6], 0, 2, 2] = 1.0
+_FACTOR_TEMPLATE[3, 0, 1, 1] = 1.0
+# (factor, row, column) of the entries _factors fills, in the order of its
+# values: the l3 phases, their conjugates, the three l8 phases, then cos,
+# sin, -sin and cos of the rotations in the (0, j) planes of beta, b (l2,
+# j = 1) and theta (l5, j = 2).
+_ROTATIONS = ((1, 1), (5, 1), (3, 2))
+_FACTOR_ENTRIES = np.array(
+    [(f, 0, 0) for f in (0, 2, 4, 6)] + [(f, 1, 1) for f in (0, 2, 4, 6)]
+    + [(7, 0, 0), (7, 1, 1), (7, 2, 2)]
+    + [(f, 0, 0) for f, j in _ROTATIONS] + [(f, 0, j) for f, j in _ROTATIONS]
+    + [(f, j, 0) for f, j in _ROTATIONS] + [(f, j, j) for f, j in _ROTATIONS]).T
 
-    The entries equal exp_generator's bit for bit, so a stacked product of
-    these factors reproduces the per-point matrix products exactly.
+
+def _factors(p: np.ndarray) -> np.ndarray:
+    """The eight chart factors of each row of an (n, 8) array, as (8, n, 3, 3).
+
+    ``_factors(p)[j, m]`` equals ``exp_generator(FACTOR_GENERATORS[j], p[m, j])``
+    bit for bit, so stacked products of these factors reproduce the
+    per-point matrix products exactly.
     """
-    out = np.zeros((len(t), 3, 3), dtype=complex)
-    if k == 3:
-        w = _cis(t)
-        out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = w, w.conj(), 1.0
-    elif k == 8:
-        w = _cis(t / SQRT3)
-        out[:, 0, 0], out[:, 1, 1], out[:, 2, 2] = w, w, _cis(-2 * t / SQRT3)
-    elif k in (2, 5):
-        j = 1 if k == 2 else 2
-        c, s = np.cos(t), np.sin(t)
-        out[:, 0, 0] = out[:, j, j] = c
-        out[:, 0, j] = s
-        out[:, j, 0] = -s
-        out[:, 3 - j, 3 - j] = 1.0
-    else:
-        raise ValueError(f"generator {k} is not a chart factor")
+    t = np.asarray(p, dtype=float).T
+    w = _cis(np.concatenate([t[[0, 2, 4, 6]], t[7:] / SQRT3, -2 * t[7:] / SQRT3]))
+    rot = t[[f for f, _ in _ROTATIONS]]
+    c, s = np.cos(rot), np.sin(rot)
+    out = np.repeat(_FACTOR_TEMPLATE, t.shape[1], axis=1)
+    fac, row, col = _FACTOR_ENTRIES
+    out[fac, :, row, col] = np.concatenate([w[:4], w[:4].conj(), w[[4, 4, 5]], c, s, -s, c])
     return out
+
+
+# Rows per block of _factor_blocks.  It bounds the memory of the factor
+# stacks and of the products made from them at any batch size: a block's
+# factors take 0.3 MB, and one side of the cartan kernel about 1.5 MB.
+_BLOCK = 256
+
+
+def _factor_blocks(p: np.ndarray):
+    """(first row, chart factors) of each block of ``_BLOCK`` rows of an
+    (n, 8) array, the factors as :func:`_factors` returns them."""
+    for i in range(0, len(p), _BLOCK):
+        yield i, _factors(p[i:i + _BLOCK])
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -393,8 +426,11 @@ def _decompose_stack(u: np.ndarray, stratum_tol: float):
     gamma = np.select([generic, beta0, beta_half], [(s1 - alpha) % tau, s1 % tau, d1 % tau], 0.0)
     beta = np.select([theta0 | beta0, beta_half], [0.0, np.pi / 2], np.arctan2(m2, m1))
 
-    left = _factor_stack(3, alpha) @ _factor_stack(2, beta) @ _factor_stack(3, gamma)
-    residual = _factor_stack(5, -theta) @ _dagger(left) @ u
+    zero = np.zeros_like(theta)
+    residual = np.empty_like(u)
+    for i, f in _factor_blocks(np.stack([alpha, beta, gamma, -theta, zero, zero, zero, zero], axis=1)):
+        rows = slice(i, i + _BLOCK)
+        residual[rows] = f[3] @ _dagger(f[0] @ f[1] @ f[2]) @ u[rows]
     phi = (SQRT3 / 2.0) * ((-np.angle(residual[:, 2, 2])) % tau)
     block = residual[:, :2, :2] * _cis(-phi / SQRT3)[:, None, None]
 

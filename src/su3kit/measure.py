@@ -32,9 +32,6 @@ _CHUNK = 1 << 14
 REFERENCE_BOX_HIGH = np.array([np.pi, np.pi / 2, np.pi, np.pi / 2,
                                np.pi, np.pi / 2, np.pi, PHI_PERIOD])
 
-SAMPLER_BOX_HIGH = np.array([np.pi, np.pi / 2, 2 * np.pi, np.pi / 2,
-                             np.pi, np.pi / 2, 2 * np.pi, PHI_PERIOD])
-
 
 def total_volume() -> float:
     """Unnormalized volume of the reference box, in closed form.

@@ -197,13 +197,29 @@ def test_save_coeff_csv_round_trips():
         cartan.save_coeff_csv(np.eye(3), buf)
 
 
+def near_strata_points(seed, n_per_case):
+    """Haar points with beta, b or theta moved to 1e-3 .. 1e-12 from 0 or pi/2."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for j in (1, 3, 5):
+        for end in (0.0, np.pi / 2):
+            p = sample_haar(int(rng.integers(2 ** 62)), n_per_case)
+            dist = 10.0 ** rng.uniform(-12, -3, n_per_case)
+            p[:, j] = dist if end == 0.0 else end - dist
+            pts.append(p)
+    return np.concatenate(pts)
+
+
 def test_frame_matches_individual_constructors():
-    p = sample_haar(19, 1)[0]
-    fr = cartan.frame(p)
-    np.testing.assert_allclose(fr.b_left, cartan.left_coeffs(p), atol=0)
-    np.testing.assert_allclose(fr.a_left, cartan.left_fields(p), atol=0)
-    np.testing.assert_allclose(fr.b_right, cartan.right_coeffs(p), atol=0)
-    np.testing.assert_allclose(fr.a_right, cartan.right_fields(p), atol=0)
+    # frame and haar_density run the stacked kernel at one point too; the
+    # one-point coefficient functions are the factor-by-factor reference
+    for p in np.concatenate([sample_haar(19, 2000), near_strata_points(36, 40)]):
+        fr = cartan.frame(p)
+        b = cartan.left_coeffs(p)
+        assert (fr.b_left == b).all() and (fr.b_right == cartan.right_coeffs(p)).all(), p
+        assert (fr.a_left == cartan.left_fields(p)).all(), p
+        assert (fr.a_right == cartan.right_fields(p)).all(), p
+        assert cartan.haar_density(p) == abs(np.linalg.det(b)) / cartan.DENSITY_DET_RATIO, p
 
 
 @pytest.mark.parametrize("fn", [cartan.left_coeffs, cartan.right_coeffs,
@@ -239,3 +255,34 @@ def test_batch_with_one_row_on_a_stratum_raises():
         with pytest.raises(cartan.DegenerateChartError, match="row 4.*sin\\(2 b\\)"):
             fn(pts)
     cartan.left_coeffs(pts)        # the coefficients themselves stay defined
+
+
+def test_blocked_batch_equals_rows_one_at_a_time():
+    # more rows than two blocks of the stacked kernel, so a short last block
+    pts = np.concatenate([sample_haar(37, 2 * cartan._BLOCK - 57), near_strata_points(38, 10)])
+    assert len(pts) == 2 * cartan._BLOCK + 3
+    fr = cartan.frame(pts)
+    density = cartan.haar_density(pts)
+    b, c = cartan.left_coeffs(pts), cartan.right_coeffs(pts)
+    for k, p in enumerate(pts):
+        one = cartan.frame(p)
+        for name in ("b_left", "a_left", "b_right", "a_right"):
+            np.testing.assert_array_equal(getattr(fr, name)[k], getattr(one, name))
+        np.testing.assert_array_equal(b[k], cartan.left_coeffs(p))
+        np.testing.assert_array_equal(c[k], cartan.right_coeffs(p))
+        assert density[k] == cartan.haar_density(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(bad):
+    p = sample_haar(39, 1)[0]
+    p[5] = bad
+    for fn in (cartan.frame, cartan.haar_density, cartan.haar_density_closed,
+               cartan.left_coeffs, cartan.right_coeffs, cartan.left_fields):
+        with pytest.raises(ValueError, match="finite"):
+            fn(p)
+    pts = sample_haar(40, 6)
+    pts[4, 2] = bad
+    for fn in (cartan.frame, cartan.haar_density, cartan.left_coeffs, cartan.right_forms):
+        with pytest.raises(ValueError, match="finite: row 4 "):
+            fn(pts)

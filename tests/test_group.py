@@ -59,6 +59,26 @@ def test_compose_identity_and_theta_only():
     assert abs(u[0, 0]) < 1e-16  # cos(pi/2)
 
 
+def test_compose_equals_left_to_right_product_of_factors():
+    rng = np.random.default_rng(35)
+    pts = np.concatenate([haar_angles(rng, 300), rng.uniform(-10, 10, (300, 8))])
+    for p in pts:
+        d = exp_generator(group.FACTOR_GENERATORS[0], p[0])
+        for k, t in zip(group.FACTOR_GENERATORS[1:], p[1:]):
+            d = d @ exp_generator(k, t)
+        np.testing.assert_array_equal(compose(p), d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compose_rejects_non_finite_angles(bad):
+    p = np.full(8, 0.3)
+    p[6] = bad
+    with pytest.raises(ValueError, match="finite"):
+        compose(p)
+    with pytest.raises(ValueError, match="finite"):
+        compose(EulerAngles.from_array(p))
+
+
 def test_compose_third_column_structure():
     rng = np.random.default_rng(1)
     for p in haar_angles(rng, 50):
