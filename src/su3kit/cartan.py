@@ -72,7 +72,7 @@ def _left_block(f: np.ndarray) -> np.ndarray:
     prefix = np.empty_like(f)
     prefix[0] = IDENTITY3
     for j in range(1, 8):
-        prefix[j] = prefix[j - 1] @ f[j - 1]
+        np.matmul(prefix[j - 1], f[j - 1], out=prefix[j])
     return expand_hermitian((prefix @ _GENS) @ _dagger(prefix)).transpose(1, 2, 0)
 
 
@@ -81,7 +81,7 @@ def _right_block(f: np.ndarray) -> np.ndarray:
     suffix = np.empty_like(f)
     suffix[7] = f[7]
     for j in range(6, -1, -1):
-        suffix[j] = f[j] @ suffix[j + 1]
+        np.matmul(f[j], suffix[j + 1], out=suffix[j])
     return expand_hermitian((_dagger(suffix) @ _GENS) @ suffix).transpose(1, 2, 0)
 
 

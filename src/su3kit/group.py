@@ -28,6 +28,7 @@ quarter of the group and demonstrably break the orthogonality integrals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -45,6 +46,10 @@ PHI_PERIOD = SQRT3 * np.pi
 # canonical upper bounds per coordinate (lower bounds are all 0)
 CANONICAL_HIGH = np.array([np.pi, np.pi / 2, 2 * np.pi, np.pi / 2,
                            np.pi, np.pi / 2, 2 * np.pi, PHI_PERIOD])
+
+# Python-float constants for the one-matrix decompose arithmetic
+_SQRT3 = float(SQRT3)
+_TAU = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -182,16 +187,43 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
 _FACTOR_TEMPLATE = np.zeros((8, 1, 3, 3), dtype=complex)
 _FACTOR_TEMPLATE[[0, 1, 2, 4, 5, 6], 0, 2, 2] = 1.0
 _FACTOR_TEMPLATE[3, 0, 1, 1] = 1.0
-# (factor, row, column) of the entries _factors fills, in the order of its
-# values: the l3 phases, their conjugates, the three l8 phases, then cos,
-# sin, -sin and cos of the rotations in the (0, j) planes of beta, b (l2,
-# j = 1) and theta (l5, j = 2).
-_ROTATIONS = ((1, 1), (5, 1), (3, 2))
-_FACTOR_ENTRIES = np.array(
-    [(f, 0, 0) for f in (0, 2, 4, 6)] + [(f, 1, 1) for f in (0, 2, 4, 6)]
-    + [(7, 0, 0), (7, 1, 1), (7, 2, 2)]
-    + [(f, 0, 0) for f, j in _ROTATIONS] + [(f, 0, j) for f, j in _ROTATIONS]
-    + [(f, j, 0) for f, j in _ROTATIONS] + [(f, j, j) for f, j in _ROTATIONS]).T
+# The nine trig arguments of a point are t[_ARG_COORDS] * _ARG_MUL / _ARG_DIV:
+# the l3 angles, the two l8 angles t / sqrt(3) and (-2 t) / sqrt(3) (the
+# association exp_generator uses), then the l2, l2 and l5 rotation angles.
+_ARG_COORDS = [0, 2, 4, 6, 7, 7, 1, 5, 3]
+_ARG_MUL = np.array([1.0, 1, 1, 1, 1, -2, 1, 1, 1])[:, None]
+_ARG_DIV = np.array([1.0, 1, 1, 1, SQRT3, SQRT3, 1, 1, 1])[:, None]
+
+
+def _factor_entries():
+    """(factor, row, float column) of each entry _factors fills, and the row
+    of ``[cos; sin; -sin]`` of the nine arguments that holds its value.
+
+    An entry (r, c) of a complex 3x3 matrix is the floats (r, 2c) and
+    (r, 2c + 1) of its float view: real and imaginary part.
+    """
+    entries = []
+    cos, sin, nsin = 0, 9, 18
+
+    def put(f, r, c, re, im=None):
+        entries.append((f, r, 2 * c, re))
+        if im is not None:
+            entries.append((f, r, 2 * c + 1, im))
+
+    for k, f in enumerate((0, 2, 4, 6)):         # l3: diag(w, conj(w), 1)
+        put(f, 0, 0, cos + k, sin + k)
+        put(f, 1, 1, cos + k, nsin + k)
+    for r, k in ((0, 4), (1, 4), (2, 5)):       # l8: diag(w, w, w')
+        put(7, r, r, cos + k, sin + k)
+    for k, (f, j) in enumerate(((1, 1), (5, 1), (3, 2)), start=6):
+        put(f, 0, 0, cos + k)                   # l2 and l5: rotation in the (0, j) plane
+        put(f, 0, j, sin + k)
+        put(f, j, 0, nsin + k)
+        put(f, j, j, cos + k)
+    return np.array(entries).T
+
+
+*_FACTOR_SLOTS, _FACTOR_VALUES = _factor_entries()
 
 
 def _factors(p: np.ndarray) -> np.ndarray:
@@ -201,13 +233,11 @@ def _factors(p: np.ndarray) -> np.ndarray:
     bit for bit, so stacked products of these factors reproduce the
     per-point matrix products exactly.
     """
-    t = np.asarray(p, dtype=float).T
-    w = _cis(np.concatenate([t[[0, 2, 4, 6]], t[7:] / SQRT3, -2 * t[7:] / SQRT3]))
-    rot = t[[f for f, _ in _ROTATIONS]]
-    c, s = np.cos(rot), np.sin(rot)
-    out = np.repeat(_FACTOR_TEMPLATE, t.shape[1], axis=1)
-    fac, row, col = _FACTOR_ENTRIES
-    out[fac, :, row, col] = np.concatenate([w[:4], w[:4].conj(), w[[4, 4, 5]], c, s, -s, c])
+    x = np.asarray(p, dtype=float).T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
+    c, s = np.cos(x), np.sin(x)
+    out = np.repeat(_FACTOR_TEMPLATE, x.shape[1], axis=1)
+    fac, row, col = _FACTOR_SLOTS
+    out.view(float)[fac, :, row, col] = np.concatenate([c, s, -s])[_FACTOR_VALUES]
     return out
 
 
@@ -231,7 +261,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def unitarity_residual(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
-    return float(np.abs(u.conj().T @ u - np.eye(3)).max())
+    return float(np.abs(u.conj().T @ u - IDENTITY3).max())
 
 
 def det_residual(u: np.ndarray) -> float:
@@ -295,24 +325,23 @@ def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)[:, None, None]
 
 
-def _su2_angles(u: np.ndarray, stratum_tol: float):
+def _su2_angles(row: np.ndarray, stratum_tol: float):
     """Euler angles of a 2x2 SU(2) block: u = e(i s3 a) e(i s2 b) e(i s3 c).
 
-    Returns (a, b, c, flags) with a in [0, pi), b in [0, pi/2], c in [0, 2 pi).
+    ``row`` is the block's first row, which fixes all three.  Returns
+    (a, b, c, flags) with a in [0, pi), b in [0, pi/2], c in [0, 2 pi).
     At the b = 0 or b = pi/2 strata only one phase combination is defined;
     the convention folds it into c and zeroes a.
     """
-    cb = abs(u[0, 0])
-    sb = abs(u[0, 1])
-    b = float(np.arctan2(sb, cb))
+    z0, z1 = row.tolist()
+    cb, sb = abs(z0), abs(z1)
+    b, s2, d2 = np.arctan2([sb, z0.imag, z1.imag], [cb, z0.real, z1.real]).tolist()
     if sb <= stratum_tol:
-        return 0.0, 0.0, float(np.angle(u[0, 0]) % (2 * np.pi)), ["b=0"]
+        return 0.0, 0.0, s2 % _TAU, ["b=0"]
     if cb <= stratum_tol:
-        return 0.0, np.pi / 2, float((-np.angle(u[0, 1])) % (2 * np.pi)), ["b=pi/2"]
-    s2 = np.angle(u[0, 0])   # a + c
-    d2 = np.angle(u[0, 1])   # a - c
-    a = float(((s2 + d2) / 2.0) % np.pi)
-    c = float((s2 - a) % (2 * np.pi))
+        return 0.0, math.pi / 2, (-d2) % _TAU, ["b=pi/2"]
+    a = ((s2 + d2) / 2.0) % math.pi        # s2 = a + c, d2 = a - c
+    c = (s2 - a) % _TAU
     return a, b, c, []
 
 
@@ -349,12 +378,16 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
     assert_group_element(u, tol)
     if u.ndim == 3:
         return _decompose_stack(u, stratum_tol)
+    # Python floats from here on, but the moduli of psi and every arctan2
+    # stay numpy ufuncs (np.angle is arctan2(imag, real)): abs(), math.atan2
+    # and cmath.phase differ from them in the last bit.
     flags: list[str] = []
-
-    psi = u[:, 2]
-    m1, m2, m3 = np.abs(psi)
-    stheta = np.hypot(m1, m2)
-    theta = float(np.arctan2(stheta, m3))
+    m1, m2, m3 = np.abs(u[:, 2]).tolist()
+    psi = u[:, 2].tolist()
+    stheta = abs(complex(m1, m2))           # libm hypot, as np.hypot
+    theta, beta, arg0, arg1, arg2 = np.arctan2(
+        [stheta, m2, psi[0].imag, -psi[1].imag, psi[2].imag],
+        [m3, m1, psi[0].real, -psi[1].real, psi[2].real]).tolist()   # arg1 = arg(-psi[1])
 
     if stheta <= stratum_tol:
         # theta = 0: the whole left SU(2) block is gauge; fold into (a, b, c)
@@ -365,34 +398,35 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
         if m3 <= stratum_tol:
             # theta = pi/2: phi is unseen by the third column; the (a, phi)
             # gauge direction lets the residual block absorb it
-            theta = np.pi / 2
+            theta = math.pi / 2
             phi_pre = 0.0
             flags.append("theta=pi/2")
         else:
-            phi_pre = (SQRT3 / 2.0) * ((-np.angle(psi[2])) % (2 * np.pi))
-        shift = 2.0 * phi_pre / SQRT3
-        beta = float(np.arctan2(m2, m1))
+            phi_pre = (_SQRT3 / 2.0) * ((-arg2) % _TAU)
+        shift = 2.0 * phi_pre / _SQRT3
         if m2 <= stratum_tol:
             beta = 0.0
             alpha = 0.0
-            gamma = float((np.angle(psi[0]) + shift) % (2 * np.pi))
+            gamma = (arg0 + shift) % _TAU
             flags.append("beta=0")
         elif m1 <= stratum_tol:
-            beta = np.pi / 2
+            beta = math.pi / 2
             alpha = 0.0
-            gamma = float((np.angle(-psi[1]) + shift) % (2 * np.pi))
+            gamma = (arg1 + shift) % _TAU
             flags.append("beta=pi/2")
         else:
-            s1 = np.angle(psi[0]) + shift            # alpha + gamma
-            d1 = -(np.angle(-psi[1]) + shift)        # alpha - gamma
-            alpha = float(((s1 + d1) / 2.0) % np.pi)
-            gamma = float((s1 - alpha) % (2 * np.pi))
+            s1 = arg0 + shift                   # alpha + gamma
+            d1 = -(arg1 + shift)                # alpha - gamma
+            alpha = ((s1 + d1) / 2.0) % math.pi
+            gamma = (s1 - alpha) % _TAU
 
-    left = (exp_generator(3, alpha) @ exp_generator(2, beta) @ exp_generator(3, gamma))
-    residual = exp_generator(5, -theta) @ left.conj().T @ u
-    phi = float((SQRT3 / 2.0) * ((-np.angle(residual[2, 2])) % (2 * np.pi)))
-    block = residual[:2, :2] * np.exp(-1j * phi / SQRT3)
-    a, b, c, block_flags = _su2_angles(block, stratum_tol)
+    f = _factors([[alpha, beta, gamma, -theta, 0.0, 0.0, 0.0, 0.0]])[:, 0]
+    residual = f[3] @ _dagger(f[0] @ f[1] @ f[2]) @ u
+    r22 = residual[2, 2]
+    phi = (_SQRT3 / 2.0) * ((-float(np.arctan2(r22.imag, r22.real))) % _TAU)
+    x = -phi / _SQRT3                       # exp(i x) equals np.exp(-1j * phi / SQRT3)
+    a, b, c, block_flags = _su2_angles(residual[0, :2] * complex(math.cos(x), math.sin(x)),
+                                       stratum_tol)
     flags += block_flags
 
     angles = EulerAngles(alpha, beta, gamma, theta, a, b, c, phi)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT3
-from .group import ANGLE_NAMES, _angles_array, compose_batch
+from .group import ANGLE_NAMES, _angles_array, _check_finite, compose_batch
 
 # chart coordinate indices
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
@@ -37,7 +37,8 @@ _PHI = 7
 class LoopSpec:
     """Closed piecewise-linear path in the eight-angle chart.
 
-    waypoints : (m, 8) array, consecutive rows joined by straight segments.
+    waypoints : (m, 8) array of finite angles, consecutive rows joined by
+        straight segments.
     samples_per_segment : trapezoid subintervals per segment.
     closed : must be True for phase computations.  Closure means the group
         element returns to its start: either the endpoint angles coincide
@@ -53,6 +54,7 @@ class LoopSpec:
         w = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if w.shape[0] < 2 or w.shape[1] != 8:
             raise ValueError("LoopSpec needs at least 2 waypoints of 8 angles")
+        _check_finite(w)
         if self.samples_per_segment < 1:
             raise ValueError("samples_per_segment must be >= 1")
         if self.closed:

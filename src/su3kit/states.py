@@ -61,13 +61,25 @@ def base_state() -> DensityState:
 def project(g: np.ndarray) -> DensityState:
     """Conjugate the base projector: rho = g rho_0 g^dag.
 
-    The coherence vector is extracted by basis expansion of
-    ``(3 rho - 1)/sqrt(3)``; equivalently it is minus the eighth row of
+    That is psi psi^dag for the third column psi of g.  The coherence
+    vector is extracted by basis expansion of ``(3 rho - 1)/sqrt(3)``;
+    equivalently it is minus the eighth row of
     :func:`su3kit.group.adjoint` (both are asserted equal in the tests).
     A (..., 3, 3) stack of elements gives the stack of their states.
+
+    Raises
+    ------
+    ValueError
+        If g, or any matrix of a stack, holds a NaN or an infinity; for a
+        stack the message names the first bad row.
     """
     g = np.asarray(g, dtype=complex)
-    rho = g @ base_state().rho @ _dagger(g)
+    if not np.isfinite(g).all():
+        bad = np.argwhere(~np.isfinite(g).all(axis=(-2, -1)))
+        where = f" at row {', '.join(map(str, bad[0]))}" if g.ndim > 2 else ""
+        raise ValueError(f"matrix{where} is not finite")
+    psi = g[..., :, 2]
+    rho = psi[..., :, None] * psi[..., None, :].conj()
     n = expand_hermitian((3.0 * rho - IDENTITY3) / SQRT3)
     return DensityState(rho=rho, n=n)
 

@@ -187,6 +187,15 @@ def test_phase_open_loop_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_phase_non_finite_waypoint_exit_2(tmp_path, capsys):
+    loop_file = tmp_path / "nan.json"
+    loop_file.write_text(json.dumps({
+        "waypoints": [[0] * 8, [0, 0, float("nan"), 0.4, 0, 0, 0, 0], [0] * 8]}))
+    code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file))
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_verify_quick_passes_and_reports_catalogue(capsys):
     code, out, err = run_cli(capsys, "verify", "--level", "quick", "--seed", "3")
     assert code == 0

@@ -69,6 +69,22 @@ def test_compose_equals_left_to_right_product_of_factors():
         np.testing.assert_array_equal(compose(p), d)
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_factors_equal_exp_generator(n):
+    # compare values, not bytes: at an angle of -0.0 the l3 phases' imaginary
+    # parts may differ in the sign of zero
+    rng = np.random.default_rng(36)
+    pts = rng.uniform(-1e3, 1e3, (n, 8)) * 10.0 ** -rng.integers(0, 4, (n, 8))
+    pts[0, ::2] = 0.0
+    pts[0, 1::2] = -0.0
+    f = group._factors(pts)
+    assert f.shape == (8, n, 3, 3)
+    for j, k in enumerate(group.FACTOR_GENERATORS):
+        for m in range(n):
+            ref = exp_generator(k, pts[m, j])
+            assert np.array_equal(f[j, m].real, ref.real) and np.array_equal(f[j, m].imag, ref.imag)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compose_rejects_non_finite_angles(bad):
     p = np.full(8, 0.3)
@@ -244,6 +260,33 @@ def test_decompose_stack_matches_per_matrix_calls():
         single, single_flags = decompose(u)
         assert row_flags == single_flags
         seen.update(row_flags)
+        for x, y, period in zip(row, single.as_array(), PERIODS):
+            gap = abs(x - y) if period is None else abs((x - y + period / 2) % period - period / 2)
+            assert gap <= 1e-14
+    assert seen == {"theta=0", "theta=pi/2", "beta=0", "beta=pi/2", "b=0", "b=pi/2"}
+
+
+def test_one_matrix_decompose_matches_stack_near_strata():
+    # 1e-3 ... 1e-14 from each of the six strata, on both sides of the
+    # 1e-12 stratum tolerance
+    rng = np.random.default_rng(16)
+    pts = []
+    for j in (1, 3, 5):
+        for end in (0.0, np.pi / 2):
+            for d in 10.0 ** -np.arange(3, 15):
+                for _ in range(3):
+                    p = rng.uniform(0.1, 1.4, 8)
+                    p[j] = d if end == 0.0 else end - d
+                    pts.append(p)
+    mats = group.compose_batch(np.array(pts))
+    angles, flags = decompose(mats)
+    assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-11
+    seen = set()
+    for u, row, row_flags in zip(mats, angles, flags):
+        single, single_flags = decompose(u)
+        assert single_flags == row_flags
+        seen.update(row_flags)
+        assert np.abs(compose(single) - u).max() <= 1e-11
         for x, y, period in zip(row, single.as_array(), PERIODS):
             gap = abs(x - y) if period is None else abs((x - y + period / 2) % period - period / 2)
             assert gap <= 1e-14

@@ -108,6 +108,15 @@ def test_loopspec_validation():
         phase.phase_pancharatnam(open_loop)
 
 
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loopspec_rejects_non_finite_waypoints(bad, closed):
+    w = np.zeros((3, 8))
+    w[1, 2] = bad
+    with pytest.raises(ValueError, match="finite: row 1 is not"):
+        phase.LoopSpec(w, closed=closed)
+
+
 def test_loopspec_accepts_full_period_windings():
     loop = gamma_circle(samples=32)    # gamma runs 0 -> 2 pi
     assert loop.closed

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from su3kit import algebra, group, states
 from su3kit.measure import sample_haar
@@ -51,6 +52,19 @@ def test_project_of_a_stack_equals_per_matrix_calls():
             assert isinstance(value, float)
             assert residuals[key].shape == (200,)
             assert abs(residuals[key][k] - value) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_project_rejects_non_finite_matrices(bad):
+    g = group.compose(np.full(8, 0.3))
+    g[1, 0] = bad
+    with pytest.raises(ValueError, match="^matrix is not finite"):
+        states.project(g)
+    mats = group.compose_batch(sample_haar(3, 6))
+    mats[4, 0, 1] = bad
+    mats[5] = np.nan
+    with pytest.raises(ValueError, match="matrix at row 4 is not finite"):
+        states.project(mats)
 
 
 def test_rho_spectrum_is_projector_spectrum():
