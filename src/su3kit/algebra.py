@@ -132,6 +132,8 @@ def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError("expand expects a 3x3 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix is not finite")
     tr = np.trace(m)
     if abs(tr) > trace_tol:
         raise ValueError(f"matrix is not traceless: |Tr| = {abs(tr):.3e} exceeds {trace_tol:.1e}")

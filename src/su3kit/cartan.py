@@ -44,6 +44,7 @@ from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
 from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
                     _dagger, _factor_blocks, exp_generator)
+from .measure import dump_csv
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -222,14 +223,7 @@ def save_coeff_csv(matrix: np.ndarray, path_or_file) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (8, 8):
         raise ValueError("expected an 8x8 coefficient matrix")
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-        fh.write(",".join(ANGLE_NAMES) + "\n")
-        for row in matrix:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            save_coeff_csv(matrix, fh)
+    dump_csv(matrix, path_or_file)
 
 
 def haar_density(angles):

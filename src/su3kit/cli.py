@@ -148,7 +148,7 @@ def _rectangle_phase(spec: dict, loop: phase.LoopSpec) -> float:
 
 
 def _cmd_verify(args) -> int:
-    checks = verify.run_checks(level=args.level, seed=args.seed, tol_scale=args.tol)
+    checks = verify.run_checks(level=args.level, seed=args.seed)
     catalogue = sorted(checks.closed_form_catalogue)
     payload = {
         "level": args.level,
@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor applied to all residual thresholds")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -162,6 +162,7 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 8:
         raise ValueError("compose_batch expects an (n, 8) array")
+    _check_finite(p)
     cols = np.zeros((3, 3, len(p)), dtype=complex)     # cols[j, i, m] = D[m, i, j]
     w = _cis(p[:, 0])
     cols[0, 0], cols[1, 1], cols[2, 2] = w, w.conj(), 1.0
@@ -260,7 +261,10 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
+    """Largest entry of |u^dag u - 1|; NaN if u is not finite."""
     u = np.asarray(u, dtype=complex)
+    if np.count_nonzero(np.isfinite(u)) < u.size:    # an inf would warn in the product
+        return math.nan
     return float(np.abs(u.conj().T @ u - IDENTITY3).max())
 
 

@@ -82,16 +82,11 @@ class LoopSpec:
 
 def connection(angles) -> np.ndarray:
     """Connection covector at a point, over (d alpha, ..., d phi)."""
-    p = _angles_array(angles)
-    cov = np.zeros(8)
-    s2 = np.sin(p[_THETA]) ** 2
-    cov[_ALPHA] = s2 * np.cos(2 * p[_BETA])
-    cov[_GAMMA] = s2
-    cov[_PHI] = -2.0 / SQRT3
-    return cov
+    return _connection(_angles_array(angles)[None], include_dphi=True)[0]
 
 
-def _connection_batch(points: np.ndarray, include_dphi: bool) -> np.ndarray:
+def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
+    """Connection covectors of an (n, 8) batch, one row per point."""
     s2 = np.sin(points[:, _THETA]) ** 2
     cov = np.zeros_like(points)
     cov[:, _ALPHA] = s2 * np.cos(2 * points[:, _BETA])
@@ -103,12 +98,10 @@ def _connection_batch(points: np.ndarray, include_dphi: bool) -> np.ndarray:
 
 def curvature(angles) -> np.ndarray:
     """Antisymmetric matrix F of two-form components, F[i, j] = F_(xi, xj)."""
-    p = _angles_array(angles)
+    p = _angles_array(angles)[None]
     f = np.zeros((8, 8))
-    th, be = p[_THETA], p[_BETA]
-    f[_THETA, _ALPHA] = np.sin(2 * th) * np.cos(2 * be)
-    f[_BETA, _ALPHA] = -2.0 * np.sin(th) ** 2 * np.sin(2 * be)
-    f[_THETA, _GAMMA] = np.sin(2 * th)
+    for i, j in ((_THETA, _ALPHA), (_BETA, _ALPHA), (_THETA, _GAMMA)):
+        f[i, j] = _curvature_component(p, i, j)[0]
     return f - f.T
 
 
@@ -122,7 +115,7 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     if not loop.closed:
         raise ValueError("phase_connection needs a closed loop")
     pts = loop.sample_points()
-    cov = _connection_batch(pts, include_dphi)
+    cov = _connection(pts, include_dphi)
     # integrand at t_k is cov . dp/dt; dp is constant per sampling step
     steps = pts[1:] - pts[:-1]
     vals = 0.5 * np.einsum('mk,mk->m', cov[:-1] + cov[1:], steps)
@@ -188,13 +181,15 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     i, j = (_axis_index(ax) for ax in axes)
     (x0, x1), (y0, y1) = bounds
     nx, ny = samples
+    if min(nx, ny) < 1:
+        raise ValueError("samples entries must be >= 1")
     base = _angles_array(base)
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     grid = np.tile(base, (xs.size * ys.size, 1))
     grid[:, i] = np.repeat(xs, ys.size)
     grid[:, j] = np.tile(ys, xs.size)
-    f = _curvature_component_batch(grid, i, j).reshape(xs.size, ys.size)
+    f = _curvature_component(grid, i, j).reshape(xs.size, ys.size)
     wx = _trapezoid_weights(xs)
     wy = _trapezoid_weights(ys)
     return float(wx @ f @ wy)
@@ -220,14 +215,15 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _curvature_component_batch(points: np.ndarray, i: int, j: int) -> np.ndarray:
-    th = points[:, _THETA]
-    be = points[:, _BETA]
-    comp = {(_THETA, _ALPHA): np.sin(2 * th) * np.cos(2 * be),
-            (_BETA, _ALPHA): -2.0 * np.sin(th) ** 2 * np.sin(2 * be),
-            (_THETA, _GAMMA): np.sin(2 * th)}
-    if (i, j) in comp:
-        return comp[(i, j)]
-    if (j, i) in comp:
-        return -comp[(j, i)]
-    return np.zeros(points.shape[0])
+def _curvature_component(points: np.ndarray, i: int, j: int) -> np.ndarray:
+    """F[i, j] at each point of an (n, 8) batch."""
+    if i < j:
+        return -_curvature_component(points, j, i)
+    th, be = points[:, _THETA], points[:, _BETA]
+    if (i, j) == (_THETA, _ALPHA):
+        return np.sin(2 * th) * np.cos(2 * be)
+    if (i, j) == (_BETA, _ALPHA):
+        return -2.0 * np.sin(th) ** 2 * np.sin(2 * be)
+    if (i, j) == (_THETA, _GAMMA):
+        return np.sin(2 * th)
+    return np.zeros(len(points))

@@ -5,11 +5,9 @@ lines on stdout.
 """
 
 import numpy as np
-import pytest
 
-from su3kit import algebra, cartan, group, measure, phase, states
+from su3kit import algebra, cartan, group, measure, phase, verify
 from su3kit.measure import sample_haar
-from su3kit.verify import _closure_residuals
 
 SQ3 = np.sqrt(3.0)
 
@@ -29,64 +27,28 @@ def test_criterion_01_algebra_tables():
 
 
 def test_criterion_02_chart_round_trip():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for u in group.random_su3(1000, rng):
-        angles, _ = group.decompose(u)
-        worst = max(worst, float(np.abs(group.compose(angles) - u).max()))
+    worst = verify.round_trip(group.random_su3(1000, np.random.default_rng(2024)))
     report(2, "compose(decompose(u)) on 1000 Haar-random matrices", worst, 1e-10)
 
 
 def test_criterion_03_defining_relations():
-    h = 1e-6
-    worst_fd = worst_rel = 0.0
-    for p in sample_haar(301, 100):
-        fr = cartan.frame(p)
-        d0 = group.compose(p)
-        dmat = np.empty((8, 3, 3), dtype=complex)
-        for j in range(8):
-            pp, pm = p.copy(), p.copy()
-            pp[j] += h
-            pm[j] -= h
-            dmat[j] = (group.compose(pp) - group.compose(pm)) / (2 * h)
-        for i in range(8):
-            left = 1j * np.einsum('j,jab->ab', fr.a_left[i], dmat)
-            right = 1j * np.einsum('j,jab->ab', fr.a_right[i], dmat)
-            worst_fd = max(worst_fd,
-                           float(np.abs(left + algebra.LAMBDA[i] @ d0).max()),
-                           float(np.abs(right + d0 @ algebra.LAMBDA[i]).max()))
-        r = group.adjoint(d0)
-        worst_rel = max(worst_rel, float(np.abs(fr.a_right - r @ fr.a_left).max()))
-    report(3, "Lambda_i D = -l_i D and right analog, 100 points", worst_fd, 1e-7)
-    report(3, "Lambda^r = R Lambda", worst_rel, 1e-10)
+    left, right, adjoint = verify.defining_relations(sample_haar(301, 100))
+    report(3, "Lambda_i D = -l_i D and right analog, 100 points", max(left, right), 1e-7)
+    report(3, "Lambda^r = R Lambda", adjoint, 1e-10)
 
 
 def test_criterion_04_commutator_closure():
-    worst = 0.0
-    for p in sample_haar(401, 20):
-        worst = max(worst, max(_closure_residuals(p)))
+    worst = max(verify.closure(sample_haar(401, 20)))
     report(4, "field closure on +C/-C and left-right commutativity", worst, 1e-5)
 
 
 def test_criterion_05_duality():
-    worst = 0.0
-    for p in sample_haar(501, 100):
-        fr = cartan.frame(p)
-        worst = max(worst,
-                    float(np.abs(fr.b_left @ fr.a_left.T - np.eye(8)).max()),
-                    float(np.abs(fr.b_right @ fr.a_right.T - np.eye(8)).max()))
-    report(5, "form/field duality pairing at 100 points", worst, 1e-11)
+    report(5, "form/field duality pairing at 100 points", verify.duality(sample_haar(501, 100)),
+           1e-11)
 
 
 def test_criterion_06_haar_density():
-    ratios = np.empty(1000)
-    worst_lr = 0.0
-    for k, p in enumerate(sample_haar(601, 1000)):
-        det_l = abs(np.linalg.det(cartan.left_coeffs(p)))
-        det_r = abs(np.linalg.det(cartan.right_coeffs(p)))
-        ratios[k] = det_l / cartan.haar_density_closed(p)
-        worst_lr = max(worst_lr, abs(det_l - det_r) / det_l)
-    spread = float(ratios.max() / ratios.min() - 1.0)
+    spread, worst_lr = verify.density_residuals(sample_haar(601, 1000))
     report(6, "det(b)/density global constant over 1000 points",
            max(spread, worst_lr), 1e-9)
     spot = abs(cartan.haar_density([0, np.pi / 4, 0, np.pi / 4, 0, np.pi / 4, 0, 0]) - 0.5)
@@ -104,20 +66,14 @@ def test_criterion_07_volume_and_orthogonality():
 
 
 def test_criterion_08_state_constraints():
-    worst = 0.0
-    for p in sample_haar(801, 500):
-        st = states.project(group.compose(p))
-        res = st.constraint_residuals()
-        worst = max(worst, res["unit_norm"], res["star_identity"], res["idempotency"])
+    worst = verify.pure_state_residual(group.compose_batch(sample_haar(801, 500)))
     report(8, "n.n=1, star(n,n)=n, rho^2=rho on 500 elements", worst, 1e-11)
-    rng = np.random.default_rng(802)
-    stab = 0.0
-    for p in sample_haar(803, 100):
-        q = p.copy()
-        q[4:8] = rng.uniform(0, [np.pi, np.pi / 2, 2 * np.pi, SQ3 * np.pi])
-        stab = max(stab, float(np.abs(states.project(group.compose(p)).rho
-                                      - states.project(group.compose(q)).rho).max()))
-    report(8, "stabilizer invariance under (a, b, c, phi)", stab, 1e-12)
+    pts = sample_haar(803, 100)
+    moved = pts.copy()
+    moved[:, 4:8] = np.random.default_rng(802).uniform(
+        0, [np.pi, np.pi / 2, 2 * np.pi, SQ3 * np.pi], (100, 4))
+    report(8, "stabilizer invariance under (a, b, c, phi)",
+           verify.stabilizer_residual(pts, moved), 1e-12)
 
 
 def test_criterion_09_phase_triple_agreement():
@@ -144,27 +100,17 @@ def test_criterion_09_phase_triple_agreement():
 
     # Stokes on (theta, gamma) rectangles
     base = np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8])
-    worst = 0.0
-    for (t0, t1, g0, g1) in [(0.0, np.pi / 4, 0.0, 2 * np.pi),
-                             (0.2, 1.1, 0.3, 2.4),
-                             (0.6, 1.4, 0.5, 1.9)]:
-        surf = phase.phase_curvature(base, ("theta", "gamma"),
-                                     ((t0, t1), (g0, g1)), samples=(2048, 64))
-        corners = []
-        for th, ga in [(t0, g0), (t1, g0), (t1, g1), (t0, g1), (t0, g0)]:
-            q = base.copy()
-            q[3], q[2] = th, ga
-            corners.append(q)
-        loop = phase.LoopSpec(np.array(corners), samples_per_segment=2048)
-        worst = max(worst, abs(surf - phase.phase_connection(loop)))
+    worst = max(verify.stokes_rectangle(base, bounds, (2048, 64), 2048)
+                for bounds in [((0.0, np.pi / 4), (0.0, 2 * np.pi)),
+                               ((0.2, 1.1), (0.3, 2.4)),
+                               ((0.6, 1.4), (0.5, 1.9))])
     report(9, "boundary line integral vs curvature surface integral", worst, 1e-6)
 
 
 def test_criterion_10_closed_form_catalogue():
-    from su3kit import closed_forms
     cmp_a = cartan.closed_form_comparison(seed=11)
     cmp_b = cartan.closed_form_comparison(seed=12)
-    documented = cmp_a.catalogue == closed_forms.KNOWN_DEVIATIONS
+    documented = cmp_a.matches_documented_catalogue()
     stable = cmp_a.catalogue == cmp_b.catalogue
     agreeing = max(dev[dev <= cmp_a.tolerance].max()
                    for dev in cmp_a.deviations.values())

@@ -122,6 +122,15 @@ def test_expand_rejects_nonzero_trace():
         algebra.expand(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+def test_expand_rejects_non_finite_matrices(bad):
+    m = algebra.LAMBDA[0].copy()
+    m[0, 1] = bad                       # off the diagonal, so the trace stays 0
+    for x in (np.full((3, 3), bad), m):
+        with pytest.raises(ValueError, match="not finite"):
+            algebra.expand(x)
+
+
 def test_expand_inverts_reconstruction():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su3kit import algebra, cartan, group
+from su3kit import algebra, cartan, group, verify
 from su3kit.measure import sample_haar
 
 from oracles import central_difference
@@ -100,30 +100,15 @@ def test_right_defining_relation_by_finite_differences():
 
 
 def test_right_fields_are_adjoint_times_left_fields():
-    worst = 0.0
-    for p in sample_haar(14, 100):
-        fr = cartan.frame(p)
-        r = group.adjoint(group.compose(p))
-        worst = max(worst, np.abs(fr.a_right - r @ fr.a_left).max())
-    assert worst <= 1e-10
+    assert verify.defining_relations(sample_haar(14, 100))[2] <= 1e-10
 
 
 def test_commutator_closure_left_right_mixed():
-    from su3kit.verify import _closure_residuals
-    worst = np.zeros(3)
-    for p in sample_haar(15, 5):
-        worst = np.maximum(worst, _closure_residuals(p))
-    assert worst.max() <= 1e-5
+    assert max(verify.closure(sample_haar(15, 5))) <= 1e-5
 
 
 def test_duality_pairing_identity():
-    worst = 0.0
-    for p in sample_haar(16, 100):
-        fr = cartan.frame(p)
-        worst = max(worst,
-                    np.abs(fr.b_left @ fr.a_left.T - np.eye(8)).max(),
-                    np.abs(fr.b_right @ fr.a_right.T - np.eye(8)).max())
-    assert worst <= 1e-12
+    assert verify.duality(sample_haar(16, 100)) <= 1e-12
 
 
 def test_form_rows_entry_values():
@@ -170,17 +155,11 @@ def test_haar_density_independent_of_torus_angles():
 
 
 def test_density_det_ratio_constant_and_left_right_equal():
-    ratios = []
-    worst_lr = 0.0
-    for p in sample_haar(18, 1000):
-        det_l = abs(np.linalg.det(cartan.left_coeffs(p)))
-        det_r = abs(np.linalg.det(cartan.right_coeffs(p)))
-        ratios.append(det_l / cartan.haar_density_closed(p))
-        worst_lr = max(worst_lr, abs(det_l - det_r) / det_l)
-    ratios = np.array(ratios)
-    assert ratios.max() / ratios.min() - 1.0 <= 1e-9
+    pts = sample_haar(18, 1000)
+    spread, worst_lr = verify.density_residuals(pts)
+    assert spread <= 1e-9 and worst_lr <= 1e-11
+    ratios = np.abs(np.linalg.det(cartan.left_coeffs(pts))) / cartan.haar_density_closed(pts)
     assert abs(ratios.mean() - cartan.DENSITY_DET_RATIO) <= 1e-11
-    assert worst_lr <= 1e-11
 
 
 def test_save_coeff_csv_round_trips():

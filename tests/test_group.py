@@ -93,6 +93,10 @@ def test_compose_rejects_non_finite_angles(bad):
         compose(p)
     with pytest.raises(ValueError, match="finite"):
         compose(EulerAngles.from_array(p))
+    batch = np.full((5, 8), 0.3)
+    batch[3, 6] = bad
+    with pytest.raises(ValueError, match="finite: row 3 is not"):
+        group.compose_batch(batch)
 
 
 def test_compose_third_column_structure():

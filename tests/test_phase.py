@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su3kit import phase, states
+from su3kit import phase, states, verify
 from su3kit.group import compose_batch
 from su3kit.measure import sample_haar
 
@@ -155,18 +155,10 @@ def test_connection_vs_pancharatnam_on_random_smooth_loops():
 
 def test_stokes_rectangle_agreement():
     base = np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8])
-    for (t0, t1, g0, g1) in [(0.0, np.pi / 4, 0.0, 2 * np.pi),
-                             (0.2, 1.1, 0.3, 2.4),
-                             (0.5, 0.9, 1.0, 1.7)]:
-        surf = phase.phase_curvature(base, ("theta", "gamma"),
-                                     ((t0, t1), (g0, g1)), samples=(2048, 64))
-        corners = []
-        for th, ga in [(t0, g0), (t1, g0), (t1, g1), (t0, g1), (t0, g0)]:
-            w = base.copy()
-            w[3], w[2] = th, ga
-            corners.append(w)
-        loop = phase.LoopSpec(np.array(corners), samples_per_segment=2048)
-        assert abs(surf - phase.phase_connection(loop)) <= 1e-6
+    for bounds in [((0.0, np.pi / 4), (0.0, 2 * np.pi)),
+                   ((0.2, 1.1), (0.3, 2.4)),
+                   ((0.5, 0.9), (1.0, 1.7))]:
+        assert verify.stokes_rectangle(base, bounds, (2048, 64), 2048) <= 1e-6
 
 
 def test_curvature_rectangle_closed_form():
@@ -178,6 +170,13 @@ def test_curvature_rectangle_closed_form():
     zero = phase.phase_curvature(base, ("theta", "gamma"),
                                  ((0.3, 0.3), (0.0, 2 * np.pi)), samples=(64, 64))
     assert zero == 0.0
+
+
+@pytest.mark.parametrize("samples", [(0, 64), (64, 0), (-1, 1)])
+def test_curvature_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        phase.phase_curvature(np.zeros(8), ("theta", "gamma"),
+                              ((0.1, 0.7), (0.2, 1.4)), samples=samples)
 
 
 def test_phase_orientation_reversal():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su3kit import algebra, group, states
+from su3kit import algebra, group, states, verify
 from su3kit.measure import sample_haar
 
 SQ3 = np.sqrt(3.0)
@@ -32,11 +32,7 @@ def test_stabilizer_block_leaves_base_state_fixed():
 
 
 def test_projection_constraints_on_random_elements():
-    worst = 0.0
-    for p in sample_haar(1, 500):
-        st = states.project(group.compose(p))
-        worst = max(worst, max(st.constraint_residuals().values()))
-    assert worst <= 1e-11
+    assert verify.pure_state_residual(group.compose_batch(sample_haar(1, 500))) <= 1e-11
 
 
 def test_project_of_a_stack_equals_per_matrix_calls():
@@ -83,15 +79,11 @@ def test_coherence_vector_equals_minus_adjoint_row8():
 
 
 def test_coset_fibration_depends_only_on_first_four_angles():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for p in sample_haar(5, 200):
-        q = p.copy()
-        q[4:8] = rng.uniform(0, [np.pi, np.pi / 2, 2 * np.pi, SQ3 * np.pi])
-        rho_p = states.project(group.compose(p)).rho
-        rho_q = states.project(group.compose(q)).rho
-        worst = max(worst, np.abs(rho_p - rho_q).max())
-    assert worst <= 1e-12
+    pts = sample_haar(5, 200)
+    moved = pts.copy()
+    moved[:, 4:8] = np.random.default_rng(4).uniform(
+        0, [np.pi, np.pi / 2, 2 * np.pi, SQ3 * np.pi], (200, 4))
+    assert verify.stabilizer_residual(pts, moved) <= 1e-12
 
 
 def test_psi_of_zero_angles_and_magnitudes():
