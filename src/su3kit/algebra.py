@@ -35,18 +35,16 @@ IDENTITY3 = np.eye(3, dtype=complex)
 IDENTITY3.setflags(write=False)
 
 
+_PRODUCTS = LAMBDA[:, None] @ LAMBDA[None]      # (8, 8, 3, 3): lambda_i lambda_j
+_COMMUTATORS = _PRODUCTS - _PRODUCTS.swapaxes(0, 1)
+_ANTICOMMUTATORS = _PRODUCTS + _PRODUCTS.swapaxes(0, 1)
+
+
 def _structure_tensors():
     """Build C_kij and d_ijk densely from the basis itself."""
-    c = np.zeros((8, 8, 8))
-    d = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            comm = LAMBDA[i] @ LAMBDA[j] - LAMBDA[j] @ LAMBDA[i]
-            anti = LAMBDA[i] @ LAMBDA[j] + LAMBDA[j] @ LAMBDA[i]
-            for k in range(8):
-                # Tr(X lambda_k)/2 projects onto lambda_k
-                c[k, i, j] = np.trace(comm @ LAMBDA[k]).imag / 2.0
-                d[i, j, k] = np.trace(anti @ LAMBDA[k]).real / 4.0
+    # Tr(X lambda_k)/2 projects onto lambda_k
+    c = np.einsum('ijab,kba->kij', _COMMUTATORS, LAMBDA).imag / 2.0
+    d = np.einsum('ijab,kba->ijk', _ANTICOMMUTATORS, LAMBDA).real / 4.0
     # scrub roundoff so the tensors are exactly (anti)symmetric
     c[np.abs(c) < 1e-14] = 0.0
     d[np.abs(d) < 1e-14] = 0.0
@@ -77,25 +75,15 @@ def commutator_tensor_check() -> np.ndarray:
         Entry (i, j) is the max entrywise residual of
         ``[lambda_i, lambda_j] - i C_kij lambda_k``.
     """
-    res = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(8):
-            comm = LAMBDA[i] @ LAMBDA[j] - LAMBDA[j] @ LAMBDA[i]
-            recon = 1j * np.einsum('k,kab->ab', C_TENSOR[:, i, j], LAMBDA)
-            res[i, j] = np.abs(comm - recon).max()
-    return res
+    recon = 1j * np.einsum('kij,kab->ijab', C_TENSOR, LAMBDA)
+    return np.abs(_COMMUTATORS - recon).max(axis=(2, 3))
 
 
 def anticommutator_tensor_check() -> np.ndarray:
     """Residuals of ``{lambda_i, lambda_j} - (4/3) delta_ij 1 - 2 d_ijk lambda_k``."""
-    res = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(8):
-            anti = LAMBDA[i] @ LAMBDA[j] + LAMBDA[j] @ LAMBDA[i]
-            recon = (4.0 / 3.0) * (i == j) * IDENTITY3
-            recon = recon + 2.0 * np.einsum('k,kab->ab', D_TENSOR[i, j], LAMBDA)
-            res[i, j] = np.abs(anti - recon).max()
-    return res
+    recon = (4.0 / 3.0) * np.eye(8)[:, :, None, None] * IDENTITY3
+    recon = recon + 2.0 * np.einsum('ijk,kab->ijab', D_TENSOR, LAMBDA)
+    return np.abs(_ANTICOMMUTATORS - recon).max(axis=(2, 3))
 
 
 def star(a: np.ndarray, b: np.ndarray) -> np.ndarray:

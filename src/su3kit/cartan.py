@@ -29,6 +29,8 @@ kernel: the eight chart factors of a block of points are built at once
 every column.  The one-point ``left_coeffs`` and ``right_coeffs`` keep the
 factor-by-factor code as the reference; the kernel keeps its association
 order, so its results equal the reference to the bit (numpy 2.4).
+``closed_form_comparison`` takes the exact fields and forms of all its
+points from one ``frame`` call and evaluates each table on the whole batch.
 
 Rows of every 8x8 matrix here are algebra indices (1..8), columns are chart
 coordinates in the order (alpha, beta, gamma, theta, a, b, c, phi).
@@ -272,23 +274,16 @@ class ClosedFormComparison:
     def matches_documented_catalogue(self) -> bool:
         return self.catalogue == closed_forms.KNOWN_DEVIATIONS
 
+    @property
+    def agreeing_max(self) -> float:
+        """Largest deviation among the entries at or below the tolerance."""
+        return max(float(dev[dev <= self.tolerance].max()) for dev in self.deviations.values())
+
     def report_rows(self):
         """Flat (table, row, coordinate, max_deviation) rows, deviants first."""
-        rows = []
-        for table, dev in self.deviations.items():
-            for r in range(8):
-                for k in range(8):
-                    rows.append((table, r + 1, ANGLE_NAMES[k], float(dev[r, k])))
-        rows.sort(key=lambda row: -row[3])
-        return rows
-
-
-_TABLES = {
-    "fields_left": (closed_forms.fields_left, lambda p: 1j * left_fields(p)),
-    "fields_right": (closed_forms.fields_right, lambda p: 1j * right_fields(p)),
-    "forms_left": (closed_forms.forms_left, lambda p: -1j * left_coeffs(p)),
-    "forms_right": (closed_forms.forms_right, lambda p: -1j * right_coeffs(p)),
-}
+        rows = [(table, r + 1, ANGLE_NAMES[k], float(dev[r, k]))
+                for table, dev in self.deviations.items() for r in range(8) for k in range(8)]
+        return sorted(rows, key=lambda row: -row[3])
 
 
 def closed_form_comparison(points=None, seed: int = 0, n_points: int = 32,
@@ -313,15 +308,13 @@ def closed_form_comparison(points=None, seed: int = 0, n_points: int = 32,
         rng = np.random.default_rng(seed)
         points = rng.uniform(0.15, 1.35, size=(n_points, 8))
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    deviations = {name: np.zeros((8, 8)) for name in _TABLES}
-    for name, (tabulated, exact) in _TABLES.items():
-        for p, value in zip(points, exact(points)):
-            np.maximum(deviations[name], np.abs(tabulated(p) - value),
-                       out=deviations[name])
-    catalogue = frozenset(
-        (name, r + 1, ANGLE_NAMES[k])
-        for name, dev in deviations.items()
-        for r in range(8) for k in range(8)
-        if dev[r, k] > tolerance)
+    fr = frame(points)
+    exact = {"fields_left": 1j * fr.a_left, "fields_right": 1j * fr.a_right,
+             "forms_left": -1j * fr.b_left, "forms_right": -1j * fr.b_right}
+    deviations = {name: np.abs(getattr(closed_forms, name)(points) - value).max(axis=0)
+                  for name, value in exact.items()}
+    catalogue = frozenset((name, int(r) + 1, ANGLE_NAMES[k])
+                          for name, dev in deviations.items()
+                          for r, k in np.argwhere(dev > tolerance))
     return ClosedFormComparison(points=points, deviations=deviations,
                                 catalogue=catalogue, tolerance=tolerance)

@@ -78,14 +78,9 @@ def test_criterion_08_state_constraints():
 
 def test_criterion_09_phase_triple_agreement():
     # closed-form gamma circle
-    w = np.zeros((2, 8))
-    w[:, 3] = np.pi / 4
-    w[1, 2] = 2 * np.pi
-    circle = phase.LoopSpec(w, samples_per_segment=10_000)
-    conn = phase.phase_connection(circle)
-    panch = phase.phase_pancharatnam(circle)
-    report(9, "gamma circle connection phase = pi", abs(conn - np.pi), 1e-6)
-    report(9, "gamma circle overlap-chain phase = pi", abs(panch - np.pi), 1e-4)
+    conn, panch = verify.gamma_circle(10_000)
+    report(9, "gamma circle connection phase = pi", conn, 1e-6)
+    report(9, "gamma circle overlap-chain phase = pi", panch, 1e-4)
 
     # connection vs overlap chain on random smooth loops
     rng = np.random.default_rng(901)
@@ -112,10 +107,8 @@ def test_criterion_10_closed_form_catalogue():
     cmp_b = cartan.closed_form_comparison(seed=12)
     documented = cmp_a.matches_documented_catalogue()
     stable = cmp_a.catalogue == cmp_b.catalogue
-    agreeing = max(dev[dev <= cmp_a.tolerance].max()
-                   for dev in cmp_a.deviations.values())
     report(10, "tabulated closed forms agree off the documented catalogue",
-           agreeing, 1e-10)
+           cmp_a.agreeing_max, 1e-10)
     report(10, "catalogue documented and stable across seeds",
            0.0 if (documented and stable) else 1.0, 0.5)
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -37,38 +35,37 @@ def test_anticommutator_table_residuals():
 def test_structure_constant_values():
     c = algebra.C_TENSOR
     # [l1, l2] = 2i l3
-    assert c[2, 0, 1] == pytest.approx(2.0, abs=1e-15)
+    assert c[2, 0, 1] == pytest.approx(2.0, abs=1e-15, rel=0)
     # diagonal generators commute
     assert np.abs(c[:, 2, 7]).max() == 0
     # [l4, l5] = i(l3 + sqrt(3) l8)
-    assert c[2, 3, 4] == pytest.approx(1.0, abs=1e-15)
-    assert c[7, 3, 4] == pytest.approx(SQ3, abs=1e-14)
-    assert c[7, 5, 6] == pytest.approx(SQ3, abs=1e-14)
+    assert c[2, 3, 4] == pytest.approx(1.0, abs=1e-15, rel=0)
+    assert c[7, 3, 4] == pytest.approx(SQ3, abs=1e-14, rel=0)
+    assert c[7, 5, 6] == pytest.approx(SQ3, abs=1e-14, rel=0)
     # the seven unit entries, e.g. C_147, C_246
-    assert c[6, 0, 3] == pytest.approx(1.0, abs=1e-15)
-    assert c[5, 1, 3] == pytest.approx(1.0, abs=1e-15)
+    assert c[6, 0, 3] == pytest.approx(1.0, abs=1e-15, rel=0)
+    assert c[5, 1, 3] == pytest.approx(1.0, abs=1e-15, rel=0)
 
 
 def test_d_tensor_values():
     d = algebra.D_TENSOR
-    assert d[7, 7, 7] == pytest.approx(-1 / SQ3, abs=1e-15)
+    assert d[7, 7, 7] == pytest.approx(-1 / SQ3, abs=1e-15, rel=0)
     for k in (0, 1, 2):
-        assert d[k, k, 7] == pytest.approx(1 / SQ3, abs=1e-15)
+        assert d[k, k, 7] == pytest.approx(1 / SQ3, abs=1e-15, rel=0)
     for k in (3, 4, 5, 6):
-        assert d[k, k, 7] == pytest.approx(-1 / (2 * SQ3), abs=1e-15)
-    assert d[0, 3, 5] == pytest.approx(0.5, abs=1e-15)       # d_146
-    assert d[1, 3, 6] == pytest.approx(-0.5, abs=1e-15)      # d_247
+        assert d[k, k, 7] == pytest.approx(-1 / (2 * SQ3), abs=1e-15, rel=0)
+    assert d[0, 3, 5] == pytest.approx(0.5, abs=1e-15, rel=0)       # d_146
+    assert d[1, 3, 6] == pytest.approx(-0.5, abs=1e-15, rel=0)      # d_247
 
 
 def test_tensor_symmetries_all_index_triples():
     c, d = algebra.C_TENSOR, algebra.D_TENSOR
-    for i, j, k in itertools.product(range(8), repeat=3):
-        assert c[k, i, j] == -c[k, j, i]
-        assert abs(c[k, i, j] + c[i, k, j]) <= 1e-15
-        assert abs(c[k, i, j] - c[i, j, k]) <= 1e-15
-        assert d[i, j, k] == d[j, i, k]
-        assert abs(d[i, j, k] - d[i, k, j]) <= 1e-15
-        assert abs(d[i, j, k] - d[k, j, i]) <= 1e-15
+    assert np.array_equal(c, -np.einsum('kji->kij', c))
+    assert np.abs(c + np.einsum('ikj->kij', c)).max() <= 1e-15
+    assert np.abs(c - np.einsum('ijk->kij', c)).max() <= 1e-15
+    assert np.array_equal(d, np.einsum('jik->ijk', d))
+    assert np.abs(d - np.einsum('ikj->ijk', d)).max() <= 1e-15
+    assert np.abs(d - np.einsum('kji->ijk', d)).max() <= 1e-15
 
 
 def test_star_unit_vector_examples():

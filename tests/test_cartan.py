@@ -115,7 +115,7 @@ def test_form_rows_entry_values():
     for p in sample_haar(17, 10):
         b = cartan.left_forms(p)
         # omega^3 contains the term -i d alpha with coefficient exactly 1
-        assert b[2, 0] == pytest.approx(1.0, abs=1e-15)
+        assert b[2, 0] == pytest.approx(1.0, abs=1e-15, rel=0)
         beta, theta = p[1], p[3]
         c = cartan.right_forms(p)
         row8 = np.zeros(8)
@@ -137,7 +137,7 @@ def test_fields_and_forms_reject_degenerate_strata():
 def test_haar_density_spot_values():
     p = np.zeros(8)
     p[[1, 3, 5]] = np.pi / 4
-    assert cartan.haar_density(p) == pytest.approx(0.5, abs=1e-13)
+    assert cartan.haar_density(p) == pytest.approx(0.5, abs=1e-13, rel=0)
     p[3] = 0.0
     assert cartan.haar_density(p) == pytest.approx(0.0, abs=1e-15)
 

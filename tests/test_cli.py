@@ -125,15 +125,15 @@ def test_phase_methods_on_gamma_circle(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "connection"
-    assert payload["phase_rad"] == pytest.approx(np.pi, abs=1e-6)
+    assert payload["phase_rad"] == pytest.approx(np.pi, abs=1e-6, rel=0)
     assert payload["samples"] == 10_000
 
     code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file),
                            "--method", "pancharatnam")
-    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-4)
+    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-4, rel=0)
 
     code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file), "--include-dphi")
-    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-6)
+    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-6, rel=0)
 
 
 def test_phase_curvature_method_on_rectangle(tmp_path, capsys):
@@ -150,7 +150,7 @@ def test_phase_curvature_method_on_rectangle(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file),
                            "--method", "curvature")
     assert code == 0
-    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-5)
+    assert json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-5, rel=0)
 
 
 def test_phase_curvature_reversed_orientation_negates(tmp_path, capsys):
@@ -171,7 +171,7 @@ def test_phase_curvature_reversed_orientation_negates(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file),
                            "--method", "connection")
     boundary = json.loads(out)["phase_rad"]
-    assert cw == pytest.approx(boundary, abs=1e-5)
+    assert cw == pytest.approx(boundary, abs=1e-5, rel=0)
 
 
 def test_phase_open_loop_exit_2(tmp_path, capsys):

@@ -173,7 +173,7 @@ def test_decompose_diagonal_input_folds_into_c():
     angles, flags = decompose(u)
     assert {"theta=0", "b=0"} <= set(flags)
     assert angles.beta == 0 and angles.theta == 0 and angles.b == 0
-    assert angles.c == pytest.approx(np.pi / 5, abs=1e-15)
+    assert angles.c == pytest.approx(np.pi / 5, abs=1e-15, rel=0)
     np.testing.assert_allclose(compose(angles), u, atol=1e-15)
 
 

@@ -10,9 +10,9 @@ from oracles import central_difference
 SQ3 = np.sqrt(3.0)
 
 
-def gamma_circle(theta=np.pi / 4, samples=10_000):
+def gamma_circle(samples):
     w = np.zeros((2, 8))
-    w[:, 3] = theta
+    w[:, 3] = np.pi / 4
     w[1, 2] = 2 * np.pi
     return phase.LoopSpec(w, samples_per_segment=samples)
 
@@ -131,9 +131,9 @@ def test_constant_loop_has_zero_phase():
 
 
 def test_gamma_circle_closed_form():
-    loop = gamma_circle()
-    assert phase.phase_connection(loop) == pytest.approx(np.pi, abs=1e-6)
-    assert phase.phase_pancharatnam(loop) == pytest.approx(np.pi, abs=1e-4)
+    conn, panch = verify.gamma_circle(10_000)
+    assert conn <= 1e-6
+    assert panch <= 1e-4
 
 
 def test_include_dphi_changes_nothing_on_closed_loops():
@@ -141,7 +141,7 @@ def test_include_dphi_changes_nothing_on_closed_loops():
     loop = smooth_random_loop(rng)
     base = phase.phase_connection(loop)
     with_term = phase.phase_connection(loop, include_dphi=True)
-    assert with_term == pytest.approx(base, abs=1e-12)
+    assert with_term == pytest.approx(base, abs=1e-12, rel=0)
 
 
 def test_connection_vs_pancharatnam_on_random_smooth_loops():
@@ -166,7 +166,7 @@ def test_curvature_rectangle_closed_form():
     got = phase.phase_curvature(base, ("theta", "gamma"),
                                 ((0.0, np.pi / 4), (0.0, 2 * np.pi)),
                                 samples=(4096, 16))
-    assert got == pytest.approx(np.pi, abs=1e-6)
+    assert got == pytest.approx(np.pi, abs=1e-6, rel=0)
     zero = phase.phase_curvature(base, ("theta", "gamma"),
                                  ((0.3, 0.3), (0.0, 2 * np.pi)), samples=(64, 64))
     assert zero == 0.0
@@ -183,13 +183,13 @@ def test_phase_orientation_reversal():
     rng = np.random.default_rng(7)
     loop = smooth_random_loop(rng, samples=500)
     assert phase.phase_connection(loop.reversed()) == pytest.approx(
-        -phase.phase_connection(loop), abs=1e-12)
+        -phase.phase_connection(loop), abs=1e-12, rel=0)
     assert phase.phase_pancharatnam(loop.reversed()) == pytest.approx(
-        -phase.phase_pancharatnam(loop), abs=1e-12)
+        -phase.phase_pancharatnam(loop), abs=1e-12, rel=0)
     base = np.zeros(8)
     fwd = phase.phase_curvature(base, ("theta", "gamma"), ((0.1, 0.7), (0.2, 1.4)))
     rev = phase.phase_curvature(base, ("gamma", "theta"), ((0.2, 1.4), (0.1, 0.7)))
-    assert rev == pytest.approx(-fwd, abs=1e-12)
+    assert rev == pytest.approx(-fwd, abs=1e-12, rel=0)
 
 
 def test_reparameterization_second_order_convergence():
@@ -210,7 +210,7 @@ def test_pancharatnam_gauge_robustness():
     # smooth single-valued gauge along the loop
     chi = 0.7 * np.sin(np.linspace(0, 2 * np.pi, len(psi))) + 0.2
     gauged = psi * np.exp(1j * chi)[:, None]
-    assert phase.overlap_chain_phase(gauged) == pytest.approx(base, abs=1e-12)
+    assert phase.overlap_chain_phase(gauged) == pytest.approx(base, abs=1e-12, rel=0)
 
 
 def test_pancharatnam_rejects_orthogonal_consecutive_states():
