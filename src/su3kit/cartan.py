@@ -23,12 +23,13 @@ Everything else is linear algebra on b and c:
 ``haar_density_closed`` also take an (n, 8) array of points and return the
 stack of their per-point results.  ``frame`` and ``haar_density`` at every
 n, and the coefficients, fields and forms of a batch, run one stacked
-kernel: the eight chart factors of a block of points are built at once
-(``group._factors``), seven stacked products chain them into the prefix
-(or suffix) frames, and one stacked sandwich and one trace projection give
-every column.  The one-point ``left_coeffs`` and ``right_coeffs`` keep the
-factor-by-factor code as the reference; the kernel keeps its association
-order, so its results equal the reference to the bit (numpy 2.4).
+kernel: the chart factors of a block of points are built at once
+(``group._factors``), seven stacked products advance the prefix frames of b
+and the suffix frames of c together, and one stacked sandwich and one trace
+projection give every column of both, or of the one side a call needs.
+The one-point ``left_coeffs`` and ``right_coeffs`` keep the factor-by-factor
+code as the reference; the kernel keeps its association order, so its
+results equal the reference to the bit (numpy 2.4).
 ``closed_form_comparison`` takes the exact fields and forms of all its
 points from one ``frame`` call and evaluates each table on the whole batch.
 
@@ -45,7 +46,7 @@ import numpy as np
 from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
 from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
-                    _dagger, _factor_blocks, exp_generator)
+                    _dagger, _factor_blocks, _factors, exp_generator)
 from .measure import dump_csv
 
 # |det(left_coeffs)| equals this constant times
@@ -70,34 +71,42 @@ def _points(angles) -> np.ndarray:
 _GENS = LAMBDA[np.subtract(FACTOR_GENERATORS, 1)][:, None]
 
 
-def _left_block(f: np.ndarray) -> np.ndarray:
-    """b of each point of a block from its (8, m, 3, 3) chart factors."""
-    prefix = np.empty_like(f)
-    prefix[0] = IDENTITY3
-    for j in range(1, 8):
-        np.matmul(prefix[j - 1], f[j - 1], out=prefix[j])
-    return expand_hermitian((prefix @ _GENS) @ _dagger(prefix)).transpose(1, 2, 0)
+# index of the kernel's side axis that selects b alone, c alone, or both
+LEFT, RIGHT, BOTH = 0, 1, slice(0, 2)
 
 
-def _right_block(f: np.ndarray) -> np.ndarray:
-    """c of each point of a block from its (8, m, 3, 3) chart factors."""
-    suffix = np.empty_like(f)
-    suffix[7] = f[7]
-    for j in range(6, -1, -1):
-        np.matmul(f[j], suffix[j + 1], out=suffix[j])
-    return expand_hermitian((_dagger(suffix) @ _GENS) @ suffix).transpose(1, 2, 0)
+def _coeff_block(f: np.ndarray, sides=BOTH) -> np.ndarray:
+    """The (2, m, 8, 8) stack (b, c) of a block from its (8, m, 3, 3) chart
+    factors f, or the (m, 8, 8) stack of the side that ``sides`` selects.
 
-
-def _coeff_stacks(p: np.ndarray, *sides) -> list:
-    """Run each side (``_left_block``, ``_right_block``) on the chart factors
-    of an (n, 8) batch, ``_BLOCK`` rows at a time; one (n, 8, 8) stack per side.
-
-    The factors of a block are built once and shared by the sides.
+    The prefixes P[i + 1] = P[i] @ f[i] and suffixes S[6 - i] = f[6 - i] @
+    S[7 - i] advance in one stacked product per step: z[:, :, i] holds
+    [[P[i], f[6 - i]], [f[i], S[7 - i]]], and the product of its rows is
+    the diagonal of z[:, :, i + 1].
     """
-    out = [np.empty((len(p), 8, 8)) for _ in sides]
+    m = f.shape[1]
+    z = np.empty((2, 2, 8, m, 3, 3), dtype=complex)
+    chain = z.reshape(4, 8, m, 3, 3)[::3]       # chain[:, i] = (P[i], S[7-i])
+    z[1, 0] = f
+    z[0, 1, :7] = f[6::-1]
+    z[0, 0, 0] = IDENTITY3
+    z[1, 1, 0] = f[7]
+    for i in range(7):
+        np.matmul(z[0, sides, i], z[1, sides, i], out=chain[sides, i + 1])
+    if sides != LEFT:       # S^dag replaces the factors beside P
+        np.conjugate(chain[1, ::-1].swapaxes(-1, -2), out=z[0, 1])
+    x = z[0, sides]
+    e = expand_hermitian((x @ _GENS) @ _dagger(x))      # e[..., j, r, k] is b[r, k, j]
+    return e.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
+    """:func:`_coeff_block` of an (n, 8) batch, ``_BLOCK`` rows at a time."""
+    if len(p) <= _BLOCK:
+        return _coeff_block(_factors(p), sides)
+    out = np.empty((2, len(p), 8, 8))[sides]     # a side not selected is never touched
     for i, f in _factor_blocks(p):
-        for stack, side in zip(out, sides):
-            stack[i:i + _BLOCK] = side(f)
+        out[..., i:i + _BLOCK, :, :] = _coeff_block(f, sides)
     return out
 
 
@@ -108,7 +117,7 @@ def left_coeffs(angles) -> np.ndarray:
     """
     p = _points(angles)
     if p.ndim == 2:
-        return _coeff_stacks(p, _left_block)[0]
+        return _coeff_stacks(p, LEFT)
     b = np.empty((8, 8))
     prefix = np.eye(3, dtype=complex)
     for j in range(8):
@@ -125,7 +134,7 @@ def right_coeffs(angles) -> np.ndarray:
     """
     p = _points(angles)
     if p.ndim == 2:
-        return _coeff_stacks(p, _right_block)[0]
+        return _coeff_stacks(p, RIGHT)
     c = np.empty((8, 8))
     suffix = np.eye(3, dtype=complex)
     for j in range(7, -1, -1):
@@ -209,11 +218,9 @@ class FrameAtPoint:
 def frame(angles) -> FrameAtPoint:
     p = _points(angles)
     _check_nondegenerate(p)
-    b, c = _coeff_stacks(p.reshape(-1, 8), _left_block, _right_block)
-    if p.ndim == 1:
-        b, c = b[0], c[0]
-    return FrameAtPoint(point=p, b_left=b, a_left=np.linalg.inv(b.swapaxes(-1, -2)),
-                        b_right=c, a_right=np.linalg.inv(c.swapaxes(-1, -2)))
+    b = _coeff_stacks(p.reshape(-1, 8)).reshape((2,) + p.shape[:-1] + (8, 8))
+    a = np.linalg.inv(b.swapaxes(-1, -2))
+    return FrameAtPoint(point=p, b_left=b[0], a_left=a[0], b_right=b[1], a_right=a[1])
 
 
 def save_coeff_csv(matrix: np.ndarray, path_or_file) -> None:
@@ -237,7 +244,7 @@ def haar_density(angles):
     for one point, an (n,) array for an (n, 8) batch.
     """
     p = _points(angles)
-    value = np.abs(np.linalg.det(_coeff_stacks(p.reshape(-1, 8), _left_block)[0]))
+    value = np.abs(np.linalg.det(_coeff_stacks(p.reshape(-1, 8), LEFT)))
     value /= DENSITY_DET_RATIO
     return float(value[0]) if p.ndim == 1 else value
 

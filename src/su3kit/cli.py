@@ -45,7 +45,7 @@ def loop_from_json(obj: dict) -> phase.LoopSpec:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(payload, sys.stdout, indent=2, allow_nan=False)    # strict JSON: no NaN
     sys.stdout.write("\n")
 
 

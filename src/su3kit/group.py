@@ -191,7 +191,7 @@ _FACTOR_TEMPLATE[3, 0, 1, 1] = 1.0
 # The nine trig arguments of a point are t[_ARG_COORDS] * _ARG_MUL / _ARG_DIV:
 # the l3 angles, the two l8 angles t / sqrt(3) and (-2 t) / sqrt(3) (the
 # association exp_generator uses), then the l2, l2 and l5 rotation angles.
-_ARG_COORDS = [0, 2, 4, 6, 7, 7, 1, 5, 3]
+_ARG_COORDS = np.array([0, 2, 4, 6, 7, 7, 1, 5, 3])
 _ARG_MUL = np.array([1.0, 1, 1, 1, 1, -2, 1, 1, 1])[:, None]
 _ARG_DIV = np.array([1.0, 1, 1, 1, SQRT3, SQRT3, 1, 1, 1])[:, None]
 
@@ -235,17 +235,20 @@ def _factors(p: np.ndarray) -> np.ndarray:
     per-point matrix products exactly.
     """
     x = np.asarray(p, dtype=float).T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
-    c, s = np.cos(x), np.sin(x)
-    out = np.repeat(_FACTOR_TEMPLATE, x.shape[1], axis=1)
+    n = x.shape[1]
+    trig = np.empty((3, 9, n))                  # cos, sin and -sin of the arguments
+    np.cos(x, out=trig[0])
+    np.negative(np.sin(x, out=trig[1]), out=trig[2])
+    out = _FACTOR_TEMPLATE.copy() if n == 1 else np.repeat(_FACTOR_TEMPLATE, n, axis=1)
     fac, row, col = _FACTOR_SLOTS
-    out.view(float)[fac, :, row, col] = np.concatenate([c, s, -s])[_FACTOR_VALUES]
+    out.view(float)[fac, :, row, col] = trig.reshape(27, n)[_FACTOR_VALUES]
     return out
 
 
 # Rows per block of _factor_blocks.  It bounds the memory of the factor
 # stacks and of the products made from them at any batch size: a block's
-# factors take 0.3 MB, and one side of the cartan kernel about 1.5 MB.
-_BLOCK = 256
+# factors take 0.15 MB, and the cartan kernel on both sides about 1.8 MB.
+_BLOCK = 128
 
 
 def _factor_blocks(p: np.ndarray):
@@ -424,7 +427,7 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
             alpha = ((s1 + d1) / 2.0) % math.pi
             gamma = (s1 - alpha) % _TAU
 
-    f = _factors([[alpha, beta, gamma, -theta, 0.0, 0.0, 0.0, 0.0]])[:, 0]
+    f = _factors(np.array([[alpha, beta, gamma, -theta, 0.0, 0.0, 0.0, 0.0]]))[:, 0]
     residual = f[3] @ _dagger(f[0] @ f[1] @ f[2]) @ u
     r22 = residual[2, 2]
     phi = (_SQRT3 / 2.0) * ((-float(np.arctan2(r22.imag, r22.real))) % _TAU)

@@ -43,7 +43,8 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON values: a residual that is not finite is None."""
+        return {**asdict(self), "residual": self.residual if np.isfinite(self.residual) else None}
 
 
 def _result(name, residual, threshold, detail="") -> CheckResult:

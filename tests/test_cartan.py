@@ -189,15 +189,21 @@ def near_strata_points(seed, n_per_case):
     return np.concatenate(pts)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape and equal bytes: unlike ==, tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_frame_matches_individual_constructors():
     # frame and haar_density run the stacked kernel at one point too; the
     # one-point coefficient functions are the factor-by-factor reference
     for p in np.concatenate([sample_haar(19, 2000), near_strata_points(36, 40)]):
         fr = cartan.frame(p)
         b = cartan.left_coeffs(p)
-        assert (fr.b_left == b).all() and (fr.b_right == cartan.right_coeffs(p)).all(), p
-        assert (fr.a_left == cartan.left_fields(p)).all(), p
-        assert (fr.a_right == cartan.right_fields(p)).all(), p
+        assert same_bits(fr.b_left, b) and same_bits(fr.b_right, cartan.right_coeffs(p)), p
+        assert same_bits(fr.a_left, cartan.left_fields(p)), p
+        assert same_bits(fr.a_right, cartan.right_fields(p)), p
         assert cartan.haar_density(p) == abs(np.linalg.det(b)) / cartan.DENSITY_DET_RATIO, p
 
 
@@ -214,12 +220,15 @@ def test_batch_equals_per_point(fn):
 
 
 def test_frame_and_closed_density_batches_equal_per_point():
+    # one block, and more than two blocks with near-stratum rows
     pts = sample_haar(33, 40)
-    fr = cartan.frame(pts)
-    for k, p in enumerate(pts):
-        one = cartan.frame(p)
-        for name in ("b_left", "a_left", "b_right", "a_right"):
-            assert np.abs(getattr(fr, name)[k] - getattr(one, name)).max() <= 1e-15
+    more = np.concatenate([sample_haar(40, 2 * cartan._BLOCK - 57), near_strata_points(41, 10)])
+    for batch in (pts, more):
+        fr = cartan.frame(batch)
+        for k, p in enumerate(batch):
+            one = cartan.frame(p)
+            for name in ("b_left", "a_left", "b_right", "a_right"):
+                assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
     closed = cartan.haar_density_closed(pts)
     assert closed.shape == (40,)
     np.testing.assert_allclose(closed, [cartan.haar_density_closed(p) for p in pts],
@@ -246,10 +255,10 @@ def test_blocked_batch_equals_rows_one_at_a_time():
     for k, p in enumerate(pts):
         one = cartan.frame(p)
         for name in ("b_left", "a_left", "b_right", "a_right"):
-            np.testing.assert_array_equal(getattr(fr, name)[k], getattr(one, name))
-        np.testing.assert_array_equal(b[k], cartan.left_coeffs(p))
-        np.testing.assert_array_equal(c[k], cartan.right_coeffs(p))
-        assert density[k] == cartan.haar_density(p)
+            assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
+        assert same_bits(b[k], cartan.left_coeffs(p)), k
+        assert same_bits(c[k], cartan.right_coeffs(p)), k
+        assert same_bits(density[k], cartan.haar_density(p)), k
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

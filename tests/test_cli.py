@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from su3kit import cli, measure
+from su3kit import cli, measure, verify
 from su3kit.group import compose
 
 
@@ -238,3 +238,18 @@ def test_verify_reports_the_catalogue_found_at_its_seed(capsys):
     payload = json.loads(out)
     expected = sorted(closed_form_comparison(seed=4).catalogue)
     assert payload["closed_form_deviation_catalogue"] == [list(e) for e in expected]
+
+
+def test_verify_report_stays_strict_json_with_a_nan_residual(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "duality", lambda points: float("nan"))
+    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--seed", "3")
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    check = {c["name"]: c for c in payload["checks"]}["cartan.duality_pairing"]
+    assert check["residual"] is None and check["passed"] is False
+    assert payload["passed"] is False
+    assert "FAIL cartan.duality_pairing: residual nan" in err

@@ -85,6 +85,19 @@ def test_factors_equal_exp_generator(n):
             assert np.array_equal(f[j, m].real, ref.real) and np.array_equal(f[j, m].imag, ref.imag)
 
 
+def test_one_and_two_row_factors_equal_rows_of_a_batch():
+    # one row takes a copy of the factor template, more rows np.repeat of it
+    rng = np.random.default_rng(37)
+    pts = rng.uniform(-1e3, 1e3, (6, 8)) * 10.0 ** -rng.integers(0, 4, (6, 8))
+    pts[2, ::2] = 0.0
+    pts[2, 1::2] = -0.0
+    pts[3] = -pts[2]
+    batch = group._factors(pts)
+    for rows in (slice(k, k + n) for n in (1, 2) for k in range(6 - n + 1)):
+        f = group._factors(pts[rows])
+        assert f.shape == batch[:, rows].shape and f.tobytes() == batch[:, rows].tobytes(), rows
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compose_rejects_non_finite_angles(bad):
     p = np.full(8, 0.3)
