@@ -98,7 +98,10 @@ def star(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return SQRT3 * np.einsum('ijk,...j,...k->...i', D_TENSOR, a, b)
 
 
-def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+_TRACE_TOL = 1e-12
+
+
+def expand(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand a traceless 3x3 matrix in the Gell-Mann basis.
 
     Writes ``m = sum_k (re_k + i im_k) lambda_k`` using the trace
@@ -107,9 +110,7 @@ def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     Parameters
     ----------
     m : (3, 3) array_like
-        Complex traceless matrix.
-    trace_tol : float
-        Largest tolerated ``|Tr(m)|``.
+        Complex traceless matrix: ``|Tr(m)|`` at most 1e-12.
 
     Returns
     -------
@@ -123,8 +124,8 @@ def expand(m: np.ndarray, trace_tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     if not np.isfinite(m).all():
         raise ValueError("matrix is not finite")
     tr = np.trace(m)
-    if abs(tr) > trace_tol:
-        raise ValueError(f"matrix is not traceless: |Tr| = {abs(tr):.3e} exceeds {trace_tol:.1e}")
+    if abs(tr) > _TRACE_TOL:
+        raise ValueError(f"matrix is not traceless: |Tr| = {abs(tr):.3e} exceeds {_TRACE_TOL:.1e}")
     coeff = np.einsum('ab,kba->k', m, LAMBDA) / 2.0
     return coeff.real.copy(), coeff.imag.copy()
 

@@ -47,7 +47,7 @@ from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
 from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
                     _dagger, _factor_blocks, _factors, exp_generator)
-from .measure import dump_csv
+from .measure import _haar_density, dump_csv
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -255,11 +255,7 @@ def haar_density_closed(angles):
     A float for one point, an (n,) array for an (n, 8) batch.
     """
     p = _points(angles)
-    q = p.T      # q[j] is coordinate j of the point, or of every row
-    # float_power squares through pow() for arrays and scalars alike; an
-    # array's ``** 2`` multiplies instead and can differ in the last bit
-    value = (np.sin(2 * q[1]) * np.sin(2 * q[5]) * np.sin(2 * q[3])
-             * np.float_power(np.sin(q[3]), 2))
+    value = _haar_density(p[..., 1], p[..., 3], p[..., 5])
     return float(value) if p.ndim == 1 else value
 
 
@@ -293,28 +289,15 @@ class ClosedFormComparison:
         return sorted(rows, key=lambda row: -row[3])
 
 
-def closed_form_comparison(points=None, seed: int = 0, n_points: int = 32,
-                           tolerance: float = 1e-9) -> ClosedFormComparison:
-    """Evaluate the tabulated closed forms against the exact construction.
+# deviation above which a table entry joins the catalogue: agreeing entries
+# stay below 1e-10, the known deviant entries are O(0.1 .. 5)
+_COMPARISON_TOL = 1e-9
 
-    Parameters
-    ----------
-    points : (n, 8) array_like, optional
-        Evaluation points; all must avoid the degenerate strata.  When
-        omitted, ``n_points`` points are drawn from the chart interior
-        using ``seed``.
-    tolerance : float
-        Deviation threshold for catalogue membership.  Agreeing entries
-        stay below 1e-10; the known deviant entries are O(0.1 .. 5).
 
-    Returns
-    -------
-    ClosedFormComparison
-    """
-    if points is None:
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(0.15, 1.35, size=(n_points, 8))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def closed_form_comparison(seed: int = 0) -> ClosedFormComparison:
+    """Evaluate the tabulated closed forms against the exact construction
+    at 32 points drawn from the chart interior using ``seed``."""
+    points = np.random.default_rng(seed).uniform(0.15, 1.35, size=(32, 8))
     fr = frame(points)
     exact = {"fields_left": 1j * fr.a_left, "fields_right": 1j * fr.a_right,
              "forms_left": -1j * fr.b_left, "forms_right": -1j * fr.b_right}
@@ -322,6 +305,6 @@ def closed_form_comparison(points=None, seed: int = 0, n_points: int = 32,
                   for name, value in exact.items()}
     catalogue = frozenset((name, int(r) + 1, ANGLE_NAMES[k])
                           for name, dev in deviations.items()
-                          for r, k in np.argwhere(dev > tolerance))
+                          for r, k in np.argwhere(dev > _COMPARISON_TOL))
     return ClosedFormComparison(points=points, deviations=deviations,
-                                catalogue=catalogue, tolerance=tolerance)
+                                catalogue=catalogue, tolerance=_COMPARISON_TOL)

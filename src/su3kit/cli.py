@@ -38,10 +38,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def loop_from_json(obj: dict) -> phase.LoopSpec:
+    if not obj.get("closed", True):
+        raise ValueError("phase computation requires a closed loop")
     return phase.LoopSpec(
         waypoints=np.asarray(obj["waypoints"], dtype=float),
-        samples_per_segment=int(obj.get("samples_per_segment", 256)),
-        closed=bool(obj.get("closed", True)))
+        samples_per_segment=int(obj.get("samples_per_segment", 256)))
 
 
 def _emit(payload) -> None:
@@ -103,14 +104,11 @@ def _cmd_haar(args) -> int:
 def _cmd_phase(args) -> int:
     try:
         with open(args.loop, "r", encoding="utf-8") as fh:
-            spec = json.loads(fh.read())
-        loop = loop_from_json(spec)
+            loop = loop_from_json(json.loads(fh.read()))
     except OSError as exc:
         return _fail(3, f"cannot read {args.loop}: {exc}")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, f"bad loop JSON: {exc}")
-    if not loop.closed:
-        return _fail(2, "phase computation requires a closed loop")
     n_samples = loop.samples_per_segment * (len(loop.waypoints) - 1)
     try:
         if args.method == "connection":
@@ -118,14 +116,14 @@ def _cmd_phase(args) -> int:
         elif args.method == "pancharatnam":
             value = phase.phase_pancharatnam(loop)
         else:
-            value = _rectangle_phase(spec, loop)
+            value = _rectangle_phase(loop)
     except ValueError as exc:
         return _fail(2, str(exc))
     _emit({"method": args.method, "phase_rad": value, "samples": n_samples})
     return 0
 
 
-def _rectangle_phase(spec: dict, loop: phase.LoopSpec) -> float:
+def _rectangle_phase(loop: phase.LoopSpec) -> float:
     """Curvature surface integral for a loop bounding a coordinate rectangle.
 
     The loop must be a 4-corner rectangle varying exactly two coordinates;
@@ -143,7 +141,7 @@ def _rectangle_phase(spec: dict, loop: phase.LoopSpec) -> float:
         i, j = j, i
     x0, x1 = w[0, i], w[1, i]
     y0, y1 = w[0, j], w[2, j]
-    n = max(int(spec.get("samples_per_segment", 256)), 2)
+    n = max(loop.samples_per_segment, 2)
     return phase.phase_curvature(w[0], (i, j), ((x0, x1), (y0, y1)), samples=(n, n))
 
 

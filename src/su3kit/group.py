@@ -47,9 +47,10 @@ PHI_PERIOD = SQRT3 * np.pi
 CANONICAL_HIGH = np.array([np.pi, np.pi / 2, 2 * np.pi, np.pi / 2,
                            np.pi, np.pi / 2, 2 * np.pi, PHI_PERIOD])
 
-# Python-float constants for the one-matrix decompose arithmetic
+# Python-float constants for the decompose arithmetic
 _SQRT3 = float(SQRT3)
 _TAU = 2 * math.pi
+_STRATUM_TOL = 1e-12        # magnitudes at or below this are exact zeros
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,9 @@ class EulerAngles:
     def as_dict(self) -> dict:
         return dict(zip(ANGLE_NAMES, self.as_array().tolist()))
 
-    def is_canonical(self, slack: float = 0.0) -> bool:
+    def is_canonical(self) -> bool:
         v = self.as_array()
-        return bool(np.all(v >= -slack) and np.all(v <= CANONICAL_HIGH + slack))
+        return bool(np.all(v >= 0) and np.all(v <= CANONICAL_HIGH))
 
 
 def _check_finite(p: np.ndarray) -> None:
@@ -332,7 +333,7 @@ def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)[:, None, None]
 
 
-def _su2_angles(row: np.ndarray, stratum_tol: float):
+def _su2_angles(row: np.ndarray):
     """Euler angles of a 2x2 SU(2) block: u = e(i s3 a) e(i s2 b) e(i s3 c).
 
     ``row`` is the block's first row, which fixes all three.  Returns
@@ -343,16 +344,16 @@ def _su2_angles(row: np.ndarray, stratum_tol: float):
     z0, z1 = row.tolist()
     cb, sb = abs(z0), abs(z1)
     b, s2, d2 = np.arctan2([sb, z0.imag, z1.imag], [cb, z0.real, z1.real]).tolist()
-    if sb <= stratum_tol:
+    if sb <= _STRATUM_TOL:
         return 0.0, 0.0, s2 % _TAU, ["b=0"]
-    if cb <= stratum_tol:
+    if cb <= _STRATUM_TOL:
         return 0.0, math.pi / 2, (-d2) % _TAU, ["b=pi/2"]
     a = ((s2 + d2) / 2.0) % math.pi        # s2 = a + c, d2 = a - c
     c = (s2 - a) % _TAU
     return a, b, c, []
 
 
-def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
+def decompose(u: np.ndarray, tol: float = 1e-8):
     """Chart coordinates of an SU(3) matrix (inverse of :func:`compose`).
 
     The third column fixes theta, beta, phi and the first SU(2) block;
@@ -365,10 +366,10 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
         Matrix satisfying the SU(3) invariants within ``tol``.
     tol : float
         Admission tolerance for unitarity / determinant of the input.
-    stratum_tol : float
-        Magnitudes below this are treated as exact zeros; the affected
-        angles are gauge on the corresponding degenerate stratum, get
-        folded into their partners, and a flag is reported.
+
+    Magnitudes at or below 1e-12 are treated as exact zeros; the affected
+    angles are gauge on the corresponding degenerate stratum, get folded
+    into their partners, and a flag is reported.
 
     Returns
     -------
@@ -384,7 +385,7 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
         raise ValueError("decompose expects a 3x3 matrix or an (n, 3, 3) stack")
     assert_group_element(u, tol)
     if u.ndim == 3:
-        return _decompose_stack(u, stratum_tol)
+        return _decompose_stack(u)
     # Python floats from here on, but the moduli of psi and every arctan2
     # stay numpy ufuncs (np.angle is arctan2(imag, real)): abs(), math.atan2
     # and cmath.phase differ from them in the last bit.
@@ -396,13 +397,13 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
         [stheta, m2, psi[0].imag, -psi[1].imag, psi[2].imag],
         [m3, m1, psi[0].real, -psi[1].real, psi[2].real]).tolist()   # arg1 = arg(-psi[1])
 
-    if stheta <= stratum_tol:
+    if stheta <= _STRATUM_TOL:
         # theta = 0: the whole left SU(2) block is gauge; fold into (a, b, c)
         theta = 0.0
         alpha = beta = gamma = 0.0
         flags.append("theta=0")
     else:
-        if m3 <= stratum_tol:
+        if m3 <= _STRATUM_TOL:
             # theta = pi/2: phi is unseen by the third column; the (a, phi)
             # gauge direction lets the residual block absorb it
             theta = math.pi / 2
@@ -411,12 +412,12 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
         else:
             phi_pre = (_SQRT3 / 2.0) * ((-arg2) % _TAU)
         shift = 2.0 * phi_pre / _SQRT3
-        if m2 <= stratum_tol:
+        if m2 <= _STRATUM_TOL:
             beta = 0.0
             alpha = 0.0
             gamma = (arg0 + shift) % _TAU
             flags.append("beta=0")
-        elif m1 <= stratum_tol:
+        elif m1 <= _STRATUM_TOL:
             beta = math.pi / 2
             alpha = 0.0
             gamma = (arg1 + shift) % _TAU
@@ -432,15 +433,14 @@ def decompose(u: np.ndarray, tol: float = 1e-8, stratum_tol: float = 1e-12):
     r22 = residual[2, 2]
     phi = (_SQRT3 / 2.0) * ((-float(np.arctan2(r22.imag, r22.real))) % _TAU)
     x = -phi / _SQRT3                       # exp(i x) equals np.exp(-1j * phi / SQRT3)
-    a, b, c, block_flags = _su2_angles(residual[0, :2] * complex(math.cos(x), math.sin(x)),
-                                       stratum_tol)
+    a, b, c, block_flags = _su2_angles(residual[0, :2] * complex(math.cos(x), math.sin(x)))
     flags += block_flags
 
     angles = EulerAngles(alpha, beta, gamma, theta, a, b, c, phi)
     return angles, flags
 
 
-def _decompose_stack(u: np.ndarray, stratum_tol: float):
+def _decompose_stack(u: np.ndarray):
     """:func:`decompose` of an (n, 3, 3) stack of admitted matrices.
 
     The per-matrix arithmetic on whole columns: each stratum branch of the
@@ -451,10 +451,10 @@ def _decompose_stack(u: np.ndarray, stratum_tol: float):
     psi = u[:, :, 2]
     m1, m2, m3 = np.abs(psi).T
     stheta = np.hypot(m1, m2)
-    theta0 = stheta <= stratum_tol
-    theta_half = ~theta0 & (m3 <= stratum_tol)
-    beta0 = ~theta0 & (m2 <= stratum_tol)
-    beta_half = ~theta0 & ~beta0 & (m1 <= stratum_tol)
+    theta0 = stheta <= _STRATUM_TOL
+    theta_half = ~theta0 & (m3 <= _STRATUM_TOL)
+    beta0 = ~theta0 & (m2 <= _STRATUM_TOL)
+    beta_half = ~theta0 & ~beta0 & (m1 <= _STRATUM_TOL)
     generic = ~(theta0 | beta0 | beta_half)
 
     theta = np.select([theta0, theta_half], [0.0, np.pi / 2], np.arctan2(stheta, m3))
@@ -477,8 +477,8 @@ def _decompose_stack(u: np.ndarray, stratum_tol: float):
 
     cb = np.abs(block[:, 0, 0])
     sb = np.abs(block[:, 0, 1])
-    b0 = sb <= stratum_tol
-    b_half = ~b0 & (cb <= stratum_tol)
+    b0 = sb <= _STRATUM_TOL
+    b_half = ~b0 & (cb <= _STRATUM_TOL)
     s2 = np.angle(block[:, 0, 0])                   # a + c
     d2 = np.angle(block[:, 0, 1])                   # a - c
     a = np.where(b0 | b_half, 0.0, ((s2 + d2) / 2.0) % np.pi)

@@ -44,6 +44,12 @@ def total_volume() -> float:
     return 0.5 * np.sqrt(3.0) * np.pi ** 5
 
 
+def _haar_density(beta, theta, b):
+    """Chart density sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta), elementwise."""
+    s = np.sin(theta)
+    return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -176,6 +182,8 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
     conjugates.  The diagonal |D_p|^2 is summed as a real number, so its
     imaginary part and standard error are exactly 0.
     """
+    if n < 2:
+        raise ValueError("need n >= 2 samples for a standard error")
     angles = sample_haar(seed, n)
     s_re, s_im = np.zeros((9, 9)), np.zeros((9, 9))
     s2_re, s2_im = np.zeros((9, 9)), np.zeros((9, 9))
@@ -215,15 +223,15 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     times the box's Lebesgue volume estimates the closed form
     :func:`total_volume`.  Serves as the quadrature cross-check.
     """
+    if n < 2:
+        raise ValueError("need n >= 2 samples for a standard error")
     rng = _rng(seed)
     dens = np.empty(n)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         u = rng.random((stop - start, 8))      # same stream as one (n, 8) draw
         # only beta, theta and b enter the density
-        beta, theta, b = (u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5))
-        dens[start:stop] = (np.sin(2 * beta) * np.sin(2 * b)
-                            * np.sin(2 * theta) * np.sin(theta) ** 2)
+        dens[start:stop] = _haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
     box = float(np.prod(REFERENCE_BOX_HIGH))
     est = box * dens.mean()
     se = box * dens.std(ddof=1) / np.sqrt(n)

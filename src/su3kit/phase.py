@@ -32,23 +32,23 @@ from .group import ANGLE_NAMES, _angles_array, _check_finite, compose_batch
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
 _PHI = 7
 
+_MIN_OVERLAP = 1e-6     # smallest |<psi_k | psi_k+1>| an overlap chain may hold
+
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Closed piecewise-linear path in the eight-angle chart.
+    """Closed piecewise-linear path in the eight-angle chart: the group
+    element returns to its start, so the endpoint angles coincide exactly or
+    differ by full chart periods (e.g. gamma winding 0 -> 2 pi describes a
+    closed, non-contractible circle).
 
     waypoints : (m, 8) array of finite angles, consecutive rows joined by
         straight segments.
     samples_per_segment : trapezoid subintervals per segment.
-    closed : must be True for phase computations.  Closure means the group
-        element returns to its start: either the endpoint angles coincide
-        exactly, or they differ by full chart periods (e.g. gamma winding
-        0 -> 2 pi describes a closed, non-contractible circle).
     """
 
     waypoints: np.ndarray
     samples_per_segment: int = 256
-    closed: bool = True
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -57,13 +57,12 @@ class LoopSpec:
         _check_finite(w)
         if self.samples_per_segment < 1:
             raise ValueError("samples_per_segment must be >= 1")
-        if self.closed:
-            ends = compose_batch(w[[0, -1]])
-            residual = np.abs(ends[0] - ends[1]).max()
-            if residual > 1e-10:
-                raise ValueError(
-                    f"loop endpoints differ on the group (residual {residual:.2e}); "
-                    "a closed loop must return to its starting element")
+        ends = compose_batch(w[[0, -1]])
+        residual = np.abs(ends[0] - ends[1]).max()
+        if residual > 1e-10:
+            raise ValueError(
+                f"loop endpoints differ on the group (residual {residual:.2e}); "
+                "a closed loop must return to its starting element")
         object.__setattr__(self, "waypoints", w)
 
     def sample_points(self) -> np.ndarray:
@@ -77,7 +76,7 @@ class LoopSpec:
         return np.vstack(pts)
 
     def reversed(self) -> "LoopSpec":
-        return LoopSpec(self.waypoints[::-1].copy(), self.samples_per_segment, self.closed)
+        return LoopSpec(self.waypoints[::-1].copy(), self.samples_per_segment)
 
 
 def connection(angles) -> np.ndarray:
@@ -112,8 +111,6 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     unless ``include_dphi`` (it cancels exactly on chart-closed loops).
     Not reduced modulo 2 pi.
     """
-    if not loop.closed:
-        raise ValueError("phase_connection needs a closed loop")
     pts = loop.sample_points()
     cov = _connection(pts, include_dphi)
     # integrand at t_k is cov . dp/dt; dp is constant per sampling step
@@ -122,7 +119,7 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     return float(vals.sum())
 
 
-def phase_pancharatnam(loop: LoopSpec, min_overlap: float = 1e-6) -> float:
+def phase_pancharatnam(loop: LoopSpec) -> float:
     """Discrete overlap-chain phase around the loop (radians).
 
     Accumulates ``arg <psi_k | psi_k+1>`` along the sampled chain, whose
@@ -133,26 +130,24 @@ def phase_pancharatnam(loop: LoopSpec, min_overlap: float = 1e-6) -> float:
     Multiplying the chain by any smooth single-valued phase leaves the
     result unchanged.
     """
-    if not loop.closed:
-        raise ValueError("phase_pancharatnam needs a closed loop")
     pts = loop.sample_points()
     psi = compose_batch(pts)[:, :, 2]
-    total = overlap_chain_phase(psi, min_overlap=min_overlap)
+    total = overlap_chain_phase(psi)
     dphi_term = (-2.0 / SQRT3) * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
     return total - dphi_term
 
 
-def overlap_chain_phase(psi: np.ndarray, min_overlap: float = 1e-6) -> float:
+def overlap_chain_phase(psi: np.ndarray) -> float:
     """Accumulated ``arg <psi_k | psi_k+1>`` along a chain of unit vectors.
 
     The chain is expected to close (last state equal to the first up to an
     overall phase); multiplying the chain by smooth single-valued phases
-    leaves the result invariant.
+    leaves the result invariant.  Consecutive states must overlap by 1e-6.
     """
     psi = np.asarray(psi, dtype=complex)
     overlaps = np.einsum('mk,mk->m', psi[:-1].conj(), psi[1:])
     small = float(np.abs(overlaps).min())
-    if small < min_overlap:
+    if small < _MIN_OVERLAP:
         raise ValueError(
             f"consecutive states nearly orthogonal (|overlap| = {small:.2e}); "
             "increase samples_per_segment")

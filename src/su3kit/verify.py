@@ -107,9 +107,8 @@ def closure(points: np.ndarray):
     and [Lambda_i, Lambda^r_j] = 0, with field derivatives by central
     differences, which dominate the residuals by rounding."""
     n = len(points)
-    grid = _shifted(points).reshape(-1, 8)
-    left = cartan.left_fields(grid).reshape(n, 17, 8, 8)
-    right = cartan.right_fields(grid).reshape(n, 17, 8, 8)
+    fr = cartan.frame(_shifted(points).reshape(-1, 8))
+    left, right = fr.a_left.reshape(n, 17, 8, 8), fr.a_right.reshape(n, 17, 8, 8)
     a, ar = left[:, 0], right[:, 0]
     da = (left[:, 1:9] - left[:, 9:]) / (2 * _H)     # da[n, k, j, m] = d_k A[j, m]
     dar = (right[:, 1:9] - right[:, 9:]) / (2 * _H)
@@ -133,8 +132,8 @@ def duality(points: np.ndarray) -> float:
 def density_residuals(points: np.ndarray):
     """(spread, left/right) over an (n, 8) batch: max/min - 1 of |det b| over
     the closed-form density, and the largest relative |det b| - |det c|."""
-    det_l = np.abs(np.linalg.det(cartan.left_coeffs(points)))
-    det_r = np.abs(np.linalg.det(cartan.right_coeffs(points)))
+    fr = cartan.frame(points)
+    det_l, det_r = np.abs(np.linalg.det(fr.b_left)), np.abs(np.linalg.det(fr.b_right))
     ratios = det_l / cartan.haar_density_closed(points)
     return (float(ratios.max() / ratios.min() - 1.0),
             float((np.abs(det_l - det_r) / det_l).max()))

@@ -1,3 +1,5 @@
+import inspect
+
 import su3kit
 
 
@@ -12,3 +14,16 @@ def test_public_names_are_stable():
         "phase_connection", "phase_curvature", "phase_pancharatnam", "project", "psi_of",
         "random_su3", "right_coeffs", "right_fields", "right_forms", "sample_haar", "star",
         "total_volume"]
+
+
+def test_removed_options_stay_removed():
+    def params(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+    none = inspect.Parameter.empty
+    assert params(su3kit.decompose) == [("u", none), ("tol", 1e-8)]
+    assert params(su3kit.expand) == [("m", none)]
+    assert params(su3kit.phase_pancharatnam) == [("loop", none)]
+    assert params(su3kit.phase.overlap_chain_phase) == [("psi", none)]
+    assert params(su3kit.closed_form_comparison) == [("seed", 0)]
+    assert params(su3kit.EulerAngles.is_canonical) == [("self", none)]
+    assert params(su3kit.LoopSpec) == [("waypoints", none), ("samples_per_segment", 256)]

@@ -220,15 +220,13 @@ def test_batch_equals_per_point(fn):
 
 
 def test_frame_and_closed_density_batches_equal_per_point():
-    # one block, and more than two blocks with near-stratum rows
+    # one block; test_blocked_batch_equals_rows_one_at_a_time covers several
     pts = sample_haar(33, 40)
-    more = np.concatenate([sample_haar(40, 2 * cartan._BLOCK - 57), near_strata_points(41, 10)])
-    for batch in (pts, more):
-        fr = cartan.frame(batch)
-        for k, p in enumerate(batch):
-            one = cartan.frame(p)
-            for name in ("b_left", "a_left", "b_right", "a_right"):
-                assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
+    fr = cartan.frame(pts)
+    for k, p in enumerate(pts):
+        one = cartan.frame(p)
+        for name in ("b_left", "a_left", "b_right", "a_right"):
+            assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
     closed = cartan.haar_density_closed(pts)
     assert closed.shape == (40,)
     np.testing.assert_allclose(closed, [cartan.haar_density_closed(p) for p in pts],

@@ -182,3 +182,7 @@ def test_csv_round_trip_and_determinism():
 def test_sample_haar_rejects_bad_n():
     with pytest.raises(ValueError):
         measure.sample_haar(0, 0)
+    for fn in (measure.orthogonality_suite, measure.volume_mc_estimate):
+        for n in (0, 1):                # a standard error needs two samples
+            with pytest.raises(ValueError, match="n >= 2"):
+                fn(n)

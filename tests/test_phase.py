@@ -100,26 +100,22 @@ def test_loopspec_validation():
     w = np.zeros((2, 8))
     w[1, 3] = 0.3   # genuinely open path
     with pytest.raises(ValueError, match="closed loop"):
-        phase.LoopSpec(w, closed=True)
-    open_loop = phase.LoopSpec(w, closed=False)
-    with pytest.raises(ValueError, match="closed"):
-        phase.phase_connection(open_loop)
-    with pytest.raises(ValueError, match="closed"):
-        phase.phase_pancharatnam(open_loop)
+        phase.LoopSpec(w)
 
 
-@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("closes", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_loopspec_rejects_non_finite_waypoints(bad, closed):
+def test_loopspec_rejects_non_finite_waypoints(bad, closes):
+    # the bad row is named whether or not the endpoints close on the group
     w = np.zeros((3, 8))
     w[1, 2] = bad
+    w[2, 3] = 0.0 if closes else 0.3
     with pytest.raises(ValueError, match="finite: row 1 is not"):
-        phase.LoopSpec(w, closed=closed)
+        phase.LoopSpec(w)
 
 
 def test_loopspec_accepts_full_period_windings():
     loop = gamma_circle(samples=32)    # gamma runs 0 -> 2 pi
-    assert loop.closed
     assert loop.sample_points().shape == (33, 8)
 
 

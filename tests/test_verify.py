@@ -22,10 +22,9 @@ def test_scaled_fields_are_caught(monkeypatch):
     # the right fields are scaled along alpha: a constant factor on one side
     # would still commute with the other side's fields
     frame = cartan.frame
-    monkeypatch.setattr(cartan, "left_fields", scaled(cartan.left_fields))
-    monkeypatch.setattr(cartan, "right_fields", scaled(cartan.right_fields, along_alpha=True))
     monkeypatch.setattr(cartan, "frame", lambda p: dataclasses.replace(
-        frame(p), a_left=cartan.left_fields(p), a_right=cartan.right_fields(p)))
+        frame(p), a_left=scaled(cartan.left_fields)(p),
+        a_right=scaled(cartan.right_fields, along_alpha=True)(p)))
     left, right, adjoint = verify.defining_relations(POINTS)
     assert left > 1e-7 and right > 1e-7 and adjoint > 1e-10
     assert all(r > 1e-5 for r in verify.closure(POINTS))
@@ -33,8 +32,10 @@ def test_scaled_fields_are_caught(monkeypatch):
 
 
 def test_scaled_coefficients_are_caught(monkeypatch):
-    monkeypatch.setattr(cartan, "left_coeffs", scaled(cartan.left_coeffs, along_alpha=True))
-    monkeypatch.setattr(cartan, "right_coeffs", scaled(cartan.right_coeffs))
+    frame = cartan.frame
+    monkeypatch.setattr(cartan, "frame", lambda p: dataclasses.replace(
+        frame(p), b_left=scaled(cartan.left_coeffs, along_alpha=True)(p),
+        b_right=scaled(cartan.right_coeffs)(p)))
     spread, left_right = verify.density_residuals(POINTS)
     assert spread > 1e-9 and left_right > 1e-11
 
