@@ -215,10 +215,16 @@ class FrameAtPoint:
     a_right: np.ndarray
 
 
+def _coeffs(p: np.ndarray) -> np.ndarray:
+    """The stack (b, c) at a point from :func:`_points`, as (2, 8, 8), or at
+    an (n, 8) batch, as (2, n, 8, 8); refuses points where b is singular."""
+    _check_nondegenerate(p)
+    return _coeff_stacks(p.reshape(-1, 8)).reshape((2,) + p.shape[:-1] + (8, 8))
+
+
 def frame(angles) -> FrameAtPoint:
     p = _points(angles)
-    _check_nondegenerate(p)
-    b = _coeff_stacks(p.reshape(-1, 8)).reshape((2,) + p.shape[:-1] + (8, 8))
+    b = _coeffs(p)
     a = np.linalg.inv(b.swapaxes(-1, -2))
     return FrameAtPoint(point=p, b_left=b[0], a_left=a[0], b_right=b[1], a_right=a[1])
 

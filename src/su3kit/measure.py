@@ -10,13 +10,16 @@ Haar measure (chart density sin(2 beta) sin(2 b) sin(2 theta) sin^2 theta).
 Correctness is enforced by the orthogonality-relation and translation
 invariance tests rather than assumed.
 
-Sampling uses a counter-based Philox stream keyed by the seed, and every
-estimate is accumulated in a fixed chunk order, so results are bit-identical
-for a fixed (seed, n) regardless of the environment's thread count.
+Sampling uses a counter-based Philox stream keyed by the seed, so any
+``_CHUNK``-row chunk of a draw can start on its own.  Every estimate is
+accumulated over the same chunks in a fixed order, so results are
+bit-identical for a fixed (seed, n) whether :func:`volume_mc_estimate` runs
+on one thread or two.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +53,34 @@ def _haar_density(beta, theta, b):
     return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def _stream(seed: int, start: int) -> np.random.Generator:
+    """Philox generator keyed by seed, positioned at row ``start`` of the
+    seed's (n, 8) uniform draw: a row takes 8 doubles, a counter step 4."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * 8 // 4)
+    return np.random.Generator(bits)
+
+
+def _angles(u: np.ndarray) -> np.ndarray:
+    """Chart angles from an (m, 8) array of uniforms on [0, 1), in place,
+    by the inverse-CDF marginals of the module docstring; returns u."""
+    u[:, 0] *= np.pi
+    u[:, 1] = np.arcsin(np.sqrt(u[:, 1]))
+    u[:, 2] *= 2 * np.pi
+    u[:, 3] = np.arcsin(u[:, 3] ** 0.25)
+    u[:, 4] *= np.pi
+    u[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
+    u[:, 6] *= 2 * np.pi
+    u[:, 7] *= PHI_PERIOD
+    return u
+
+
+def _haar_chunks(seed: int, n: int):
+    """(start, angles) of each ``_CHUNK``-row chunk of ``sample_haar(seed, n)``
+    in order, each drawn into one reused buffer: read a chunk before the next."""
+    buf = np.empty((min(n, _CHUNK), 8))
+    for start in range(0, n, _CHUNK):
+        yield start, _angles(_stream(seed, start).random(out=buf[:min(_CHUNK, n - start)]))
 
 
 def sample_haar(seed: int, n: int) -> np.ndarray:
@@ -62,17 +91,7 @@ def sample_haar(seed: int, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    u = _rng(seed).random((n, 8))
-    p = np.empty((n, 8))
-    p[:, 0] = np.pi * u[:, 0]
-    p[:, 1] = np.arcsin(np.sqrt(u[:, 1]))
-    p[:, 2] = 2 * np.pi * u[:, 2]
-    p[:, 3] = np.arcsin(u[:, 3] ** 0.25)
-    p[:, 4] = np.pi * u[:, 4]
-    p[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
-    p[:, 6] = 2 * np.pi * u[:, 6]
-    p[:, 7] = PHI_PERIOD * u[:, 7]
-    return p
+    return _angles(_stream(seed, 0).random((n, 8)))
 
 
 def dump_csv(samples: np.ndarray, path_or_file) -> None:
@@ -118,21 +137,18 @@ def integrate(f, n: int, seed: int = 0) -> IntegrationResult:
         Maps an (m, 3, 3) complex array of group elements to m values
         (real or complex).  Must be bounded on SU(3).
     n : int
-        Sample count.
+        Sample count, at least 2 for a standard error.
     seed : int
         Philox key; fixed (seed, n) gives bit-identical results.
     """
-    angles = sample_haar(seed, n)
+    if n < 2:
+        raise ValueError("need n >= 2 samples for a standard error")
     values = np.empty(n, dtype=complex)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        values[start:stop] = f(compose_batch(angles[start:stop]))
+    for start, angles in _haar_chunks(seed, n):
+        values[start:start + len(angles)] = f(compose_batch(angles))
     mean = values.mean()
-    if n > 1:
-        var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-        se = float(np.sqrt(var / n))
-    else:
-        se = 0.0
+    var = values.real.var(ddof=1) + values.imag.var(ddof=1)
+    se = float(np.sqrt(var / n))
     if np.abs(values.imag).max(initial=0.0) == 0.0:
         mean = mean.real
     return IntegrationResult(estimate=mean, std_error=se, n_samples=n, seed=seed)
@@ -184,11 +200,10 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
-    angles = sample_haar(seed, n)
     s_re, s_im = np.zeros((9, 9)), np.zeros((9, 9))
     s2_re, s2_im = np.zeros((9, 9)), np.zeros((9, 9))
-    for start in range(0, n, _CHUNK):
-        flat = compose_batch(angles[start:min(start + _CHUNK, n)]).reshape(-1, 9).T
+    for _, angles in _haar_chunks(seed, n):
+        flat = compose_batch(angles).reshape(-1, 9).T
         re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
         # one pair at a time keeps the temporaries in cache
         for p in range(9):
@@ -216,6 +231,14 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
                                n_samples=n, seed=seed)
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     """(estimate, std_error) of the reference-box volume by plain MC.
 
@@ -225,13 +248,28 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
-    rng = _rng(seed)
     dens = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        u = rng.random((stop - start, 8))      # same stream as one (n, 8) draw
-        # only beta, theta and b enter the density
-        dens[start:stop] = _haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
+    starts = range(0, n, _CHUNK)
+
+    def fill(own_starts, buf):
+        for start in own_starts:
+            u = _stream(seed, start).random(out=buf[:min(_CHUNK, n - start)])
+            # only beta, theta and b enter the density
+            dens[start:start + len(u)] = _haar_density(
+                *(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
+
+    # numpy releases the interpreter lock in the draws and the ufuncs, so a
+    # second thread runs on a second CPU; each chunk's values do not depend
+    # on which thread computes them
+    bufs = np.empty((2, min(n, _CHUNK), 8))
+    if len(starts) >= 2 and _usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(fill, starts[1::2], bufs[1])
+            fill(starts[::2], bufs[0])
+            helper.result()
+    else:
+        fill(starts, bufs[0])
     box = float(np.prod(REFERENCE_BOX_HIGH))
     est = box * dens.mean()
     se = box * dens.std(ddof=1) / np.sqrt(n)

@@ -132,8 +132,8 @@ def duality(points: np.ndarray) -> float:
 def density_residuals(points: np.ndarray):
     """(spread, left/right) over an (n, 8) batch: max/min - 1 of |det b| over
     the closed-form density, and the largest relative |det b| - |det c|."""
-    fr = cartan.frame(points)
-    det_l, det_r = np.abs(np.linalg.det(fr.b_left)), np.abs(np.linalg.det(fr.b_right))
+    b, c = cartan._coeffs(cartan._points(points))
+    det_l, det_r = np.abs(np.linalg.det(b)), np.abs(np.linalg.det(c))
     ratios = det_l / cartan.haar_density_closed(points)
     return (float(ratios.max() / ratios.min() - 1.0),
             float((np.abs(det_l - det_r) / det_l).max()))

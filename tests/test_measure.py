@@ -1,4 +1,7 @@
 import io
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -182,7 +185,103 @@ def test_csv_round_trip_and_determinism():
 def test_sample_haar_rejects_bad_n():
     with pytest.raises(ValueError):
         measure.sample_haar(0, 0)
-    for fn in (measure.orthogonality_suite, measure.volume_mc_estimate):
+    for fn in (measure.orthogonality_suite, measure.volume_mc_estimate,
+               lambda n: measure.integrate(lambda d: d[:, 0, 0], n)):
         for n in (0, 1):                # a standard error needs two samples
             with pytest.raises(ValueError, match="n >= 2"):
                 fn(n)
+
+
+# Serial oracles: one (n, 8) Philox draw, then the sampler's and the
+# estimators' formulas written out, summed chunk by chunk in order.
+
+def _uniforms(seed, n):
+    return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
+
+
+def _volume_oracle(n, seed):
+    u = _uniforms(seed, n)
+    beta, theta, b = (u[:, j] * measure.REFERENCE_BOX_HIGH[j] for j in (1, 3, 5))
+    s = np.sin(theta)
+    dens = np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
+    box = float(np.prod(measure.REFERENCE_BOX_HIGH))
+    return float(box * dens.mean()), float(box * dens.std(ddof=1) / np.sqrt(n))
+
+
+def _orthogonality_oracle(n, seed):
+    u = _uniforms(seed, n)
+    p = np.empty((n, 8))
+    p[:, 0] = np.pi * u[:, 0]
+    p[:, 1] = np.arcsin(np.sqrt(u[:, 1]))
+    p[:, 2] = 2 * np.pi * u[:, 2]
+    p[:, 3] = np.arcsin(u[:, 3] ** 0.25)
+    p[:, 4] = np.pi * u[:, 4]
+    p[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
+    p[:, 6] = 2 * np.pi * u[:, 6]
+    p[:, 7] = group.PHI_PERIOD * u[:, 7]
+    s_re, s_im, s2_re, s2_im = np.zeros((4, 9, 9))
+    for start in range(0, n, measure._CHUNK):
+        flat = compose_batch(p[start:start + measure._CHUNK]).reshape(-1, 9).T
+        re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
+        pr = re[:, None] * re + im[:, None] * im                # [p, q, sample]
+        pi = im[:, None] * re - re[:, None] * im
+        s_re += pr.sum(axis=-1)
+        s_im += pi.sum(axis=-1)
+        s2_re += (pr * pr).sum(axis=-1)
+        s2_im += (pi * pi).sum(axis=-1)
+    est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
+    var_re = np.maximum(s2_re.reshape(est.shape) / n - est.real ** 2, 0.0) * n / (n - 1)
+    var_im = np.maximum(s2_im.reshape(est.shape) / n - est.imag ** 2, 0.0) * n / (n - 1)
+    return est, np.sqrt(var_re / n), np.sqrt(var_im / n)
+
+
+CHUNK_SIZES = (2, measure._CHUNK, measure._CHUNK + 1, 3 * measure._CHUNK + 5)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_estimates_equal_serial_oracle_bit_for_bit(monkeypatch, n, cpus):
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: cpus)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # switch threads as often as possible
+    try:
+        est, se = measure.volume_mc_estimate(n, seed=n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads          # the helper was joined
+    assert (est.hex(), se.hex()) == tuple(x.hex() for x in _volume_oracle(n, n))
+    report = measure.orthogonality_suite(n, seed=n + 1)
+    for got, want in zip((report.estimates, report.std_error_re, report.std_error_im),
+                         _orthogonality_oracle(n, n + 1)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_sample_haar_is_its_chunk_streams(n):
+    chunks = [measure._angles(measure._stream(5, start).random((min(measure._CHUNK, n - start), 8)))
+              for start in range(0, n, measure._CHUNK)]
+    assert measure.sample_haar(5, n).tobytes() == np.concatenate(chunks).tobytes()
+
+
+def test_helper_thread_exception_reaches_caller(monkeypatch):
+    density = measure._haar_density
+
+    def fail_off_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        return density(*args)
+
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(measure, "_haar_density", fail_off_main_thread)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        measure.volume_mc_estimate(2 * measure._CHUNK)
+    assert threading.active_count() == threads
+
+
+def test_import_does_not_load_the_thread_pool():
+    # concurrent.futures is imported by the first two-thread estimate only,
+    # so one-shot CLI calls do not pay for it
+    code = "import sys, su3kit, su3kit.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

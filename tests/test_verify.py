@@ -32,10 +32,8 @@ def test_scaled_fields_are_caught(monkeypatch):
 
 
 def test_scaled_coefficients_are_caught(monkeypatch):
-    frame = cartan.frame
-    monkeypatch.setattr(cartan, "frame", lambda p: dataclasses.replace(
-        frame(p), b_left=scaled(cartan.left_coeffs, along_alpha=True)(p),
-        b_right=scaled(cartan.right_coeffs)(p)))
+    monkeypatch.setattr(cartan, "_coeffs", lambda p: np.stack(
+        [scaled(cartan.left_coeffs, along_alpha=True)(p), scaled(cartan.right_coeffs)(p)]))
     spread, left_right = verify.density_residuals(POINTS)
     assert spread > 1e-9 and left_right > 1e-11
 
