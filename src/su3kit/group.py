@@ -177,7 +177,8 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
             cols[2] *= _cis(-2 * t / SQRT3)
         else:
             j = 1 if k == 2 else 2
-            c, s = np.cos(t), np.sin(t)
+            # the cast a mixed float x complex product would make, done once
+            c, s = np.cos(t).astype(complex), np.sin(t).astype(complex)
             x = cols[0].copy()
             cols[0] = c * x - s * cols[j]
             cols[j] = s * x + c * cols[j]

@@ -13,13 +13,15 @@ invariance tests rather than assumed.
 Sampling uses a counter-based Philox stream keyed by the seed, so any
 ``_CHUNK``-row chunk of a draw can start on its own.  Every estimate is
 accumulated over the same chunks in a fixed order, so results are
-bit-identical for a fixed (seed, n) whether :func:`volume_mc_estimate` runs
-on one thread or two.
+bit-identical for a fixed (seed, n) whether :func:`volume_mc_estimate` and
+:func:`orthogonality_suite` run on one thread or two.  :func:`integrate`
+stays on one thread, because the function it calls need not be thread-safe.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 from .group import ANGLE_NAMES, PHI_PERIOD, compose_batch
 
 _CHUNK = 1 << 14
+_SPAN = 1 << 11           # rows per compose_batch call in orthogonality_suite
 
 # Ranges as published for this chart; the product of the eight 1-D integrals
 # of the density over them is (sqrt(3)/2) pi^5.  Kept as the reference box
@@ -197,26 +200,45 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
     D_p conj(D_q) with p <= q are summed; the rest are their exact complex
     conjugates.  The diagonal |D_p|^2 is summed as a real number, so its
     imaginary part and standard error are exactly 0.
+
+    The sums of each ``_CHUNK``-row chunk are added in chunk order, so the
+    report is bit-identical whether the chunks run on one thread or two
+    (see :func:`_map_chunks`).
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
-    s_re, s_im = np.zeros((9, 9)), np.zeros((9, 9))
-    s2_re, s2_im = np.zeros((9, 9)), np.zeros((9, 9))
-    for _, angles in _haar_chunks(seed, n):
-        flat = compose_batch(angles).reshape(-1, 9).T
-        re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
-        # one pair at a time keeps the temporaries in cache
+    m = min(n, _CHUNK)
+
+    def scratch():
+        # uniforms, the real and imaginary parts of the nine entries, and two
+        # rows for the pair products
+        return np.empty((m, 8)), np.empty((9, m)), np.empty((9, m)), np.empty(m), np.empty(m)
+
+    def chunk_sums(start, stop, ws):
+        k = stop - start
+        u, re, im, a, b = ws[0][:k], *(x[..., :k] for x in ws[1:])
+        angles = _angles(_stream(seed, start).random(out=u))
+        # spans this short keep compose_batch's temporaries in cache
+        for lo in range(0, k, _SPAN):
+            flat = compose_batch(angles[lo:lo + _SPAN]).reshape(-1, 9).T
+            re[:, lo:lo + _SPAN], im[:, lo:lo + _SPAN] = flat.real, flat.imag
+        s = np.zeros((4, 9, 9))         # s_re, s_im, s2_re, s2_im
         for p in range(9):
-            sq = re[p] * re[p] + im[p] * im[p]
-            s_re[p, p] += sq.sum()
-            s2_re[p, p] += (sq * sq).sum()
+            np.add(np.multiply(re[p], re[p], out=a), np.multiply(im[p], im[p], out=b), out=a)
+            s[0, p, p] = a.sum()
+            s[2, p, p] = np.multiply(a, a, out=b).sum()
             for q in range(p + 1, 9):
-                pr = re[p] * re[q] + im[p] * im[q]
-                pi = im[p] * re[q] - re[p] * im[q]
-                s_re[p, q] += pr.sum()
-                s_im[p, q] += pi.sum()
-                s2_re[p, q] += (pr * pr).sum()
-                s2_im[p, q] += (pi * pi).sum()
+                np.add(np.multiply(re[p], re[q], out=a), np.multiply(im[p], im[q], out=b), out=a)
+                s[0, p, q] = a.sum()
+                s[2, p, q] = np.multiply(a, a, out=b).sum()
+                np.subtract(np.multiply(im[p], re[q], out=a), np.multiply(re[p], im[q], out=b),
+                            out=a)
+                s[1, p, q] = a.sum()
+                s[3, p, q] = np.multiply(a, a, out=b).sum()
+        return s
+
+    # one running sum in chunk order, as on one thread
+    s_re, s_im, s2_re, s2_im = sum(_map_chunks(n, chunk_sums, scratch), np.zeros((4, 9, 9)))
     upper = np.triu_indices(9, 1)
     lower = upper[::-1]
     s_re[lower], s_im[lower] = s_re[upper], -s_im[upper]
@@ -239,37 +261,65 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_chunks(n: int, step, scratch) -> list:
+    """``[step(start, stop, ws) for each _CHUNK-row chunk [start, stop) of
+    n rows]``, in chunk order, on one thread or two.
+
+    When the process may use two CPUs and there are two chunks or more, the
+    calling thread and one helper thread each claim the next unclaimed
+    chunk, so a thread that gets less CPU computes fewer chunks; numpy
+    releases the interpreter lock in the draws and the ufuncs.  A step's
+    result must depend only on its chunk; then the results are
+    bit-identical on one thread or two.  An exception in the helper is
+    raised here, and the helper is joined before this returns.
+
+    ``scratch()`` makes one thread's workspace ``ws``, on the calling
+    thread: what a helper allocates and frees stays in its own malloc
+    arena and raises the process's peak memory.
+    """
+    starts = range(0, n, _CHUNK)
+    results = [None] * len(starts)
+    claims, lock = iter(range(len(starts))), threading.Lock()
+
+    def run(ws):
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            results[i] = step(starts[i], min(starts[i] + _CHUNK, n), ws)
+
+    if len(starts) < 2 or _usable_cpus() < 2:
+        run(scratch())
+        return results
+    from concurrent.futures import ThreadPoolExecutor
+    helper_ws = scratch()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(run, helper_ws)
+        run(scratch())
+        helper.result()
+    return results
+
+
 def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     """(estimate, std_error) of the reference-box volume by plain MC.
 
     Uniform samples over the reference box times the density value; the mean
     times the box's Lebesgue volume estimates the closed form
-    :func:`total_volume`.  Serves as the quadrature cross-check.
+    :func:`total_volume`.  Serves as the quadrature cross-check.  The
+    chunks run on one thread or two with the same bits (see
+    :func:`_map_chunks`).
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
     dens = np.empty(n)
-    starts = range(0, n, _CHUNK)
 
-    def fill(own_starts, buf):
-        for start in own_starts:
-            u = _stream(seed, start).random(out=buf[:min(_CHUNK, n - start)])
-            # only beta, theta and b enter the density
-            dens[start:start + len(u)] = _haar_density(
-                *(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
+    def fill(start, stop, buf):
+        u = _stream(seed, start).random(out=buf[:stop - start])
+        # only beta, theta and b enter the density
+        dens[start:stop] = _haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
 
-    # numpy releases the interpreter lock in the draws and the ufuncs, so a
-    # second thread runs on a second CPU; each chunk's values do not depend
-    # on which thread computes them
-    bufs = np.empty((2, min(n, _CHUNK), 8))
-    if len(starts) >= 2 and _usable_cpus() >= 2:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = pool.submit(fill, starts[1::2], bufs[1])
-            fill(starts[::2], bufs[0])
-            helper.result()
-    else:
-        fill(starts, bufs[0])
+    _map_chunks(n, fill, lambda: np.empty((min(n, _CHUNK), 8)))
     box = float(np.prod(REFERENCE_BOX_HIGH))
     est = box * dens.mean()
     se = box * dens.std(ddof=1) / np.sqrt(n)

@@ -159,6 +159,41 @@ def test_compose_batch_matches_series_oracle_product():
         np.testing.assert_allclose(d, oracle, atol=1e-14)
 
 
+def _mixed_type_compose_batch(p):
+    """compose_batch's column kernel with the rotations' cos and sin left
+    as floats, so each float x complex product casts them itself."""
+    cols = np.zeros((3, 3, len(p)), dtype=complex)
+    w = group._cis(p[:, 0])
+    cols[0, 0], cols[1, 1], cols[2, 2] = w, w.conj(), 1.0
+    for k, t in zip(group.FACTOR_GENERATORS[1:], p[:, 1:].T):
+        if k == 3:
+            w = group._cis(t)
+            cols[0] *= w
+            cols[1] *= w.conj()
+        elif k == 8:
+            cols[:2] *= group._cis(t / SQ3)
+            cols[2] *= group._cis(-2 * t / SQ3)
+        else:
+            j = 1 if k == 2 else 2
+            c, s = np.cos(t), np.sin(t)
+            x = cols[0].copy()
+            cols[0] = c * x - s * cols[j]
+            cols[j] = s * x + c * cols[j]
+    return cols.transpose(2, 1, 0).copy()
+
+
+def test_compose_batch_bytes_equal_the_mixed_type_kernel():
+    rng = np.random.default_rng(17)
+    strata = np.tile(haar_angles(rng, 1), (27, 1))
+    for r, (beta, b, theta) in enumerate(np.ndindex(3, 3, 3)):    # 0, pi/2, interior
+        for j, v in ((1, beta), (5, b), (3, theta)):
+            if v < 2:
+                strata[r, j] = v * np.pi / 2
+    pts = np.concatenate([haar_angles(rng, 5000), rng.uniform(-10, 10, (5000, 8)),
+                          np.zeros((1, 8)), np.full((1, 8), -0.0), [[0.0, -0.0] * 4], strata])
+    assert group.compose_batch(pts).tobytes() == _mixed_type_compose_batch(pts).tobytes()
+
+
 def test_compose_batch_rejects_wrong_shape():
     for bad in (np.zeros(8), np.zeros((3, 7)), np.zeros((2, 8, 1))):
         with pytest.raises(ValueError, match="\\(n, 8\\)"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import subprocess
 import sys
@@ -263,20 +264,92 @@ def test_sample_haar_is_its_chunk_streams(n):
     assert measure.sample_haar(5, n).tobytes() == np.concatenate(chunks).tobytes()
 
 
-def test_helper_thread_exception_reaches_caller(monkeypatch):
-    density = measure._haar_density
+def _equals_serial_oracle(estimator, result, n, seed):
+    if estimator == "volume_mc_estimate":
+        return tuple(x.hex() for x in result) == tuple(x.hex() for x in _volume_oracle(n, seed))
+    got = (result.estimates, result.std_error_re, result.std_error_im)
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, _orthogonality_oracle(n, seed)))
+
+
+ESTIMATORS = ("volume_mc_estimate", "orthogonality_suite")
+
+
+@pytest.mark.parametrize("estimator, kernel", zip(ESTIMATORS, ("_haar_density", "compose_batch")),
+                         ids=ESTIMATORS)
+def test_helper_thread_exception_reaches_caller(monkeypatch, estimator, kernel):
+    original = getattr(measure, kernel)
+    helper_failed = threading.Event()
 
     def fail_off_main_thread(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("helper failed")
-        return density(*args)
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(timeout=10)      # so that the helper claims a chunk
+            return original(*args)
+        helper_failed.set()
+        raise RuntimeError("helper failed")
 
     monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(measure, "_haar_density", fail_off_main_thread)
+    monkeypatch.setattr(measure, kernel, fail_off_main_thread)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="helper failed"):
-        measure.volume_mc_estimate(2 * measure._CHUNK)
+        getattr(measure, estimator)(2 * measure._CHUNK)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_caller_computes_every_chunk_while_the_helper_is_held_back(monkeypatch, estimator):
+    # a helper whose CPU is busy starts late; the caller then claims every
+    # chunk instead of waiting for the helper's share
+    n = 3 * measure._CHUNK + 5
+    starts = set(range(0, n, measure._CHUNK))
+    computed_by = {}
+    caller_claimed_all = threading.Event()
+    stream = measure._stream
+
+    def recording_stream(seed, start):
+        computed_by[start] = threading.current_thread()
+        if computed_by.keys() == starts:
+            caller_claimed_all.set()
+        return stream(seed, start)
+
+    class HeldBackPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def held_back(*args):
+                caller_claimed_all.wait(timeout=10)
+                return fn(*args)
+            return super().submit(held_back, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldBackPool)
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(measure, "_stream", recording_stream)
+    threads = threading.active_count()
+    result = getattr(measure, estimator)(n, seed=n)
+    assert threading.active_count() == threads          # the helper was joined
+    assert caller_claimed_all.is_set()
+    assert set(computed_by.values()) == {threading.main_thread()}
+    assert _equals_serial_oracle(estimator, result, n, n)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_two_thread_orthogonality_suite_keeps_peak_memory_low():
+    # the helper composes short spans in workspace the caller allocated; whole
+    # chunks composed on the helper leave their temporaries in its malloc
+    # arena and grow the peak by ~17 MB.  A child's ru_maxrss starts at its
+    # parent's peak on Linux, so the child reads its own high-water mark.
+    code = """
+from su3kit import measure
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+measure._usable_cpus = lambda: 2
+measure.orthogonality_suite(2)      # load the sampler and the kernels first
+before = peak_kib()
+measure.orthogonality_suite(100_000)
+print(peak_kib() - before)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 12 * 1024
 
 
 def test_import_does_not_load_the_thread_pool():
