@@ -57,15 +57,6 @@ C_TENSOR.setflags(write=False)
 D_TENSOR.setflags(write=False)
 
 
-def basis_vector(k: int) -> np.ndarray:
-    """Unit coefficient vector e_k along lambda_k (k is 1-based)."""
-    if not 1 <= k <= 8:
-        raise ValueError(f"generator index must be in 1..8, got {k}")
-    e = np.zeros(8)
-    e[k - 1] = 1.0
-    return e
-
-
 def commutator_tensor_check() -> np.ndarray:
     """Residuals of the commutator identity against the C tensor.
 

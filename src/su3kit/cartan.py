@@ -32,6 +32,8 @@ code as the reference; the kernel keeps its association order, so its
 results equal the reference to the bit (numpy 2.4).
 ``closed_form_comparison`` takes the exact fields and forms of all its
 points from one ``frame`` call and evaluates each table on the whole batch.
+It and ``matches_documented_catalogue`` import ``closed_forms`` when called,
+so a caller of the frames and densities alone never loads the tables.
 
 Rows of every 8x8 matrix here are algebra indices (1..8), columns are chart
 coordinates in the order (alpha, beta, gamma, theta, a, b, c, phi).
@@ -43,11 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_forms
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
 from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
                     _dagger, _factor_blocks, _factors, exp_generator)
-from .measure import _haar_density, dump_csv
+from .measure import _haar_density
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -229,18 +230,6 @@ def frame(angles) -> FrameAtPoint:
     return FrameAtPoint(point=p, b_left=b[0], a_left=a[0], b_right=b[1], a_right=a[1])
 
 
-def save_coeff_csv(matrix: np.ndarray, path_or_file) -> None:
-    """Write an 8x8 coefficient matrix as CSV.
-
-    Rows are algebra indices 1..8, columns the chart coordinates in their
-    standard order; the header row carries the coordinate names.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (8, 8):
-        raise ValueError("expected an 8x8 coefficient matrix")
-    dump_csv(matrix, path_or_file)
-
-
 def haar_density(angles):
     """Unnormalized Haar density |det b| / (global constant).
 
@@ -281,18 +270,13 @@ class ClosedFormComparison:
     tolerance: float
 
     def matches_documented_catalogue(self) -> bool:
+        from . import closed_forms
         return self.catalogue == closed_forms.KNOWN_DEVIATIONS
 
     @property
     def agreeing_max(self) -> float:
         """Largest deviation among the entries at or below the tolerance."""
         return max(float(dev[dev <= self.tolerance].max()) for dev in self.deviations.values())
-
-    def report_rows(self):
-        """Flat (table, row, coordinate, max_deviation) rows, deviants first."""
-        rows = [(table, r + 1, ANGLE_NAMES[k], float(dev[r, k]))
-                for table, dev in self.deviations.items() for r in range(8) for k in range(8)]
-        return sorted(rows, key=lambda row: -row[3])
 
 
 # deviation above which a table entry joins the catalogue: agreeing entries
@@ -303,6 +287,7 @@ _COMPARISON_TOL = 1e-9
 def closed_form_comparison(seed: int = 0) -> ClosedFormComparison:
     """Evaluate the tabulated closed forms against the exact construction
     at 32 points drawn from the chart interior using ``seed``."""
+    from . import closed_forms
     points = np.random.default_rng(seed).uniform(0.15, 1.35, size=(32, 8))
     fr = frame(points)
     exact = {"fields_left": 1j * fr.a_left, "fields_right": 1j * fr.a_right,

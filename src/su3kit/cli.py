@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
+import time
 
 import numpy as np
-
-from . import measure, phase, verify
-from .group import compose, decompose, unitarity_residual
 
 
 def matrix_to_json(u: np.ndarray) -> dict:
@@ -37,12 +36,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def loop_from_json(obj: dict) -> phase.LoopSpec:
+def loop_from_json(obj: dict):
+    """The ``phase.LoopSpec`` of a loop JSON object; ``LoopSpec`` checks its fields."""
+    from .phase import LoopSpec
     if not obj.get("closed", True):
         raise ValueError("phase computation requires a closed loop")
-    return phase.LoopSpec(
-        waypoints=np.asarray(obj["waypoints"], dtype=float),
-        samples_per_segment=int(obj.get("samples_per_segment", 256)))
+    return LoopSpec(waypoints=np.asarray(obj["waypoints"], dtype=float),
+                    samples_per_segment=obj.get("samples_per_segment", 256))
 
 
 def _emit(payload) -> None:
@@ -55,7 +55,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+# each _cmd_* imports the layers it runs when it runs, so a one-shot command
+# loads no others
 def _cmd_compose(args) -> int:
+    from .group import compose, unitarity_residual
     try:
         if args.angles is not None:
             obj = json.loads(args.angles)
@@ -72,6 +75,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .group import decompose
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             u = matrix_from_json(json.load(fh))
@@ -88,6 +92,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_haar(args) -> int:
+    from . import measure
     if args.n < 1:
         return _fail(2, "--n must be >= 1")
     samples = measure.sample_haar(args.seed, args.n)
@@ -102,6 +107,7 @@ def _cmd_haar(args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    from . import phase
     try:
         with open(args.loop, "r", encoding="utf-8") as fh:
             loop = loop_from_json(json.loads(fh.read()))
@@ -123,12 +129,13 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-def _rectangle_phase(loop: phase.LoopSpec) -> float:
+def _rectangle_phase(loop) -> float:
     """Curvature surface integral for a loop bounding a coordinate rectangle.
 
     The loop must be a 4-corner rectangle varying exactly two coordinates;
     the surface spans it with the loop's orientation.
     """
+    from .phase import phase_curvature
     w = loop.waypoints
     if len(w) != 5:
         raise ValueError("curvature method expects a 4-corner rectangle loop")
@@ -142,15 +149,21 @@ def _rectangle_phase(loop: phase.LoopSpec) -> float:
     x0, x1 = w[0, i], w[1, i]
     y0, y1 = w[0, j], w[2, j]
     n = max(loop.samples_per_segment, 2)
-    return phase.phase_curvature(w[0], (i, j), ((x0, x1), (y0, y1)), samples=(n, n))
+    return phase_curvature(w[0], (i, j), ((x0, x1), (y0, y1)), samples=(n, n))
 
 
 def _cmd_verify(args) -> int:
+    from . import __version__, verify
+    start = time.perf_counter()
     checks = verify.run_checks(level=args.level, seed=args.seed)
+    elapsed = time.perf_counter() - start
     catalogue = sorted(checks.closed_form_catalogue)
     payload = {
         "level": args.level,
         "seed": args.seed,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "su3kit": __version__},
+        "elapsed_s": elapsed,
         "checks": [c.as_dict() for c in checks],
         "closed_form_deviation_catalogue": [list(entry) for entry in catalogue],
         "passed": all(c.passed for c in checks),

@@ -113,16 +113,6 @@ def _write_csv(samples: np.ndarray, fh) -> None:
         fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_csv(path_or_file) -> np.ndarray:
-    if not hasattr(path_or_file, "read"):
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            return load_csv(fh)
-    header = path_or_file.readline().strip().split(",")
-    if tuple(header) != ANGLE_NAMES:
-        raise ValueError(f"unexpected CSV header {header}")
-    return np.loadtxt(path_or_file, delimiter=",", ndmin=2)
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     estimate: complex

@@ -44,7 +44,7 @@ class LoopSpec:
 
     waypoints : (m, 8) array of finite angles, consecutive rows joined by
         straight segments.
-    samples_per_segment : trapezoid subintervals per segment.
+    samples_per_segment : trapezoid subintervals per segment, an integer >= 1.
     """
 
     waypoints: np.ndarray
@@ -55,7 +55,10 @@ class LoopSpec:
         if w.shape[0] < 2 or w.shape[1] != 8:
             raise ValueError("LoopSpec needs at least 2 waypoints of 8 angles")
         _check_finite(w)
-        if self.samples_per_segment < 1:
+        m = self.samples_per_segment
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"samples_per_segment must be an integer, got {m!r}")
+        if m < 1:
             raise ValueError("samples_per_segment must be >= 1")
         ends = compose_batch(w[[0, -1]])
         residual = np.abs(ends[0] - ends[1]).max()

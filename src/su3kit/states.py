@@ -28,11 +28,6 @@ class DensityState:
     rho: np.ndarray
     n: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready form: the matrix in re/im blocks plus the n vector."""
-        return {"rho": {"re": self.rho.real.tolist(), "im": self.rho.imag.tolist()},
-                "n": self.n.tolist()}
-
     def constraint_residuals(self) -> dict:
         """Residuals of the pure-state constraints (all should be ~0).
 

@@ -6,6 +6,11 @@ from su3kit import algebra
 SQ3 = np.sqrt(3.0)
 
 
+def e(k):
+    """Unit coefficient vector along lambda_k (k is 1-based)."""
+    return np.eye(8)[k - 1]
+
+
 def test_basis_is_hermitian_traceless_and_normalized():
     for k in range(8):
         lam = algebra.LAMBDA[k]
@@ -69,10 +74,10 @@ def test_tensor_symmetries_all_index_triples():
 
 
 def test_star_unit_vector_examples():
-    e8 = algebra.basis_vector(8)
+    e8 = e(8)
     np.testing.assert_allclose(algebra.star(-e8, -e8), -e8, atol=1e-15)
     np.testing.assert_allclose(algebra.star(np.zeros(8), e8), np.zeros(8), atol=0)
-    e3 = algebra.basis_vector(3)
+    e3 = e(3)
     np.testing.assert_allclose(algebra.star(e3, e3), e8, atol=1e-15)
 
 
@@ -102,12 +107,12 @@ def test_star_and_expand_hermitian_of_stacks_equal_per_item_calls():
 
 def test_expand_basis_elements():
     re, im = algebra.expand(algebra.LAMBDA[4])
-    np.testing.assert_allclose(re, algebra.basis_vector(5), atol=1e-15)
+    np.testing.assert_allclose(re, e(5), atol=1e-15)
     np.testing.assert_allclose(im, 0, atol=1e-15)
 
     re, im = algebra.expand(1j * algebra.LAMBDA[2])
     np.testing.assert_allclose(re, 0, atol=1e-15)
-    np.testing.assert_allclose(im, algebra.basis_vector(3), atol=1e-15)
+    np.testing.assert_allclose(im, e(3), atol=1e-15)
 
     re, im = algebra.expand(algebra.LAMBDA[0] + 2 * algebra.LAMBDA[7])
     np.testing.assert_allclose(re, [1, 0, 0, 0, 0, 0, 0, 2], atol=1e-15)

@@ -10,7 +10,7 @@ SQ3 = np.sqrt(3.0)
 
 
 def e(k):
-    return algebra.basis_vector(k)
+    return np.eye(8)[k - 1]
 
 
 def test_left_coeffs_alpha_column_is_lambda3():
@@ -160,20 +160,6 @@ def test_density_det_ratio_constant_and_left_right_equal():
     assert spread <= 1e-9 and worst_lr <= 1e-11
     ratios = np.abs(np.linalg.det(cartan.left_coeffs(pts))) / cartan.haar_density_closed(pts)
     assert abs(ratios.mean() - cartan.DENSITY_DET_RATIO) <= 1e-11
-
-
-def test_save_coeff_csv_round_trips():
-    import io
-    p = sample_haar(20, 1)[0]
-    b = cartan.left_coeffs(p)
-    buf = io.StringIO()
-    cartan.save_coeff_csv(b, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "alpha,beta,gamma,theta,a,b,c,phi"
-    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(parsed, b)
-    with pytest.raises(ValueError):
-        cartan.save_coeff_csv(np.eye(3), buf)
 
 
 def near_strata_points(seed, n_per_case):

@@ -1,8 +1,10 @@
 import json
+import platform
 
 import numpy as np
 import pytest
 
+import su3kit
 from su3kit import cli, measure, verify
 from su3kit.group import compose
 
@@ -83,7 +85,8 @@ def test_haar_csv_deterministic_and_in_range(tmp_path, capsys):
     assert run_cli(capsys, "haar", "--n", "200", "--seed", "5", "--out", str(out1))[0] == 0
     assert run_cli(capsys, "haar", "--n", "200", "--seed", "5", "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
-    data = measure.load_csv(str(out1))
+    assert out1.read_text().splitlines()[0] == "alpha,beta,gamma,theta,a,b,c,phi"
+    data = np.loadtxt(out1, delimiter=",", skiprows=1)
     assert data.shape == (200, 8)
     from su3kit.group import CANONICAL_HIGH
     assert data.min() >= 0 and np.all(data.max(axis=0) <= CANONICAL_HIGH)
@@ -187,6 +190,18 @@ def test_phase_open_loop_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_phase_non_integer_samples_per_segment_exit_2(tmp_path, capsys):
+    loop_file = tmp_path / "loop.json"
+    waypoints = [[0, 0, 0, np.pi / 4, 0, 0, 0, 0], [0, 0, 2 * np.pi, np.pi / 4, 0, 0, 0, 0]]
+    for value in (2.5, "7", True):
+        loop_file.write_text(json.dumps({"waypoints": waypoints, "samples_per_segment": value}))
+        code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file))
+        assert code == 2 and out == "" and "samples_per_segment must be an integer" in err
+    loop_file.write_text(json.dumps({"waypoints": waypoints, "samples_per_segment": 8}))
+    code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file))
+    assert code == 0 and json.loads(out)["samples"] == 8
+
+
 def test_phase_non_finite_waypoint_exit_2(tmp_path, capsys):
     loop_file = tmp_path / "nan.json"
     loop_file.write_text(json.dumps({
@@ -209,6 +224,18 @@ def test_verify_quick_passes_and_reports_catalogue(capsys):
     assert "pass" in err
 
 
+def test_verify_report_carries_versions_and_times(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--seed", "3")
+    payload = json.loads(out)
+    assert code == 0 and list(payload)[:4] == ["level", "seed", "versions", "elapsed_s"]
+    assert payload["versions"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__, "su3kit": su3kit.__version__}
+    times = [c["elapsed_s"] for c in payload["checks"]]
+    assert all(isinstance(t, float) and t >= 0 for t in times)
+    # the checks share the run's time between them and nothing else
+    assert 0 < sum(times) <= payload["elapsed_s"]
+
+
 def test_verify_negative_seed_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--seed", "-5")
     assert code == 2 and out == "" and "--seed" in err
@@ -219,7 +246,11 @@ def test_verify_is_deterministic_for_fixed_seed(capsys):
     for _ in range(2):
         code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--seed", "6")
         assert code == 0
-        outs.append(out)
+        payload = json.loads(out)
+        del payload["elapsed_s"]            # wall times are the only part that varies
+        for check in payload["checks"]:
+            del check["elapsed_s"]
+        outs.append(json.dumps(payload))
     assert outs[0] == outs[1]
 
 

@@ -82,10 +82,3 @@ def test_tabulated_omega8_right_row_as_printed():
     expected[:, 3] = 1j * (SQ3 / 2) * s2t
     expected[:, 7] = -1j
     np.testing.assert_allclose(w, expected, atol=1e-15)
-
-
-def test_report_rows_sorted_by_deviation():
-    rows = cartan.closed_form_comparison(seed=3).report_rows()
-    devs = [r[3] for r in rows]
-    assert devs == sorted(devs, reverse=True)
-    assert len(rows) == 4 * 64

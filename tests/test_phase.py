@@ -92,6 +92,14 @@ def test_curvature_is_closed_two_form():
                     assert abs(cyc) <= 1e-5
 
 
+def test_loopspec_samples_per_segment_must_be_an_integer():
+    for bad in (2.5, "7", True, np.float64(8.0), None):
+        with pytest.raises(ValueError, match="samples_per_segment must be an integer"):
+            phase.LoopSpec(np.zeros((2, 8)), samples_per_segment=bad)
+    assert phase.LoopSpec(np.zeros((2, 8)), samples_per_segment=np.int64(8)).sample_points() \
+        .shape == (9, 8)
+
+
 def test_loopspec_validation():
     with pytest.raises(ValueError, match="at least 2 waypoints"):
         phase.LoopSpec(np.zeros((1, 8)))

@@ -114,12 +114,3 @@ def test_constraint_residuals_reports_all_keys():
     keys = set(states.base_state().constraint_residuals())
     assert keys == {"hermiticity", "trace", "idempotency", "unit_norm",
                     "star_identity", "reconstruction"}
-
-
-def test_density_state_json_form():
-    import json
-    st = states.project(group.compose(sample_haar(8, 1)[0]))
-    payload = json.loads(json.dumps(st.to_json_dict()))
-    rho = np.array(payload["rho"]["re"]) + 1j * np.array(payload["rho"]["im"])
-    np.testing.assert_allclose(rho, st.rho, atol=1e-16)
-    np.testing.assert_allclose(payload["n"], st.n, atol=1e-16)
