@@ -28,20 +28,49 @@ def matrix_to_json(u: np.ndarray) -> dict:
     return {"re": u.real.tolist(), "im": u.imag.tolist()}
 
 
+def _json_object(obj, what: str) -> dict:
+    """obj, if it is a JSON object; other JSON values raise ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, not {type(obj).__name__}")
+    return obj
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array; a value that is not numbers raises ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:            # e.g. an object where a number belongs
+        raise ValueError(f"{what} must hold numbers: {exc}") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    obj = _json_object(obj, "matrix")
+    re, im = _floats(obj["re"], "re"), _floats(obj["im"], "im")
     if re.shape != (3, 3) or im.shape != (3, 3):
         raise ValueError("matrix JSON must hold 3x3 're' and 'im' blocks")
     return re + 1j * im
 
 
+def _angles_from_json(obj: dict) -> list:
+    """The eight chart angles of an angles JSON object, by name."""
+    from .group import ANGLE_NAMES
+    obj = _json_object(obj, "angles")
+    values = [_floats(obj[name], name) for name in ANGLE_NAMES]
+    if any(value.ndim for value in values):
+        raise ValueError("each angle must be a number")
+    return [float(value) for value in values]
+
+
 def loop_from_json(obj: dict):
     """The ``phase.LoopSpec`` of a loop JSON object; ``LoopSpec`` checks its fields."""
     from .phase import LoopSpec
-    if not obj.get("closed", True):
+    obj = _json_object(obj, "loop")
+    closed = obj.get("closed", True)
+    if not isinstance(closed, bool):
+        raise ValueError(f"'closed' must be true or false, not {json.dumps(closed)}")
+    if not closed:
         raise ValueError("phase computation requires a closed loop")
-    return LoopSpec(waypoints=np.asarray(obj["waypoints"], dtype=float),
+    return LoopSpec(waypoints=_floats(obj["waypoints"], "waypoints"),
                     samples_per_segment=obj.get("samples_per_segment", 256))
 
 
@@ -59,15 +88,15 @@ def _fail(code: int, message: str) -> int:
 # loads no others
 def _cmd_compose(args) -> int:
     from .group import compose, unitarity_residual
+    values = args.values
+    if args.angles is not None:
+        try:
+            values = _angles_from_json(json.loads(args.angles))
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            return _fail(2, f"bad angles JSON: {exc}")
     try:
-        if args.angles is not None:
-            obj = json.loads(args.angles)
-            values = [float(obj[name]) for name in
-                      ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")]
-        else:
-            values = [float(x) for x in args.values]
-        u = compose(values)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        u = compose([float(x) for x in values])
+    except ValueError as exc:
         return _fail(2, f"bad angles: {exc}")
     print(f"unitarity residual {unitarity_residual(u):.3e}", file=sys.stderr)
     _emit(matrix_to_json(u))

@@ -193,8 +193,14 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
 
     The sums of each ``_CHUNK``-row chunk are added in chunk order, so the
     report is bit-identical whether the chunks run on one thread or two
-    (see :func:`_map_chunks`).
+    (see :class:`_Chunks`).
     """
+    return _start_orthogonality(n, seed).join()
+
+
+def _start_orthogonality(n: int, seed: int) -> _Chunks:
+    """:func:`orthogonality_suite` begun: a helper thread may start on its
+    chunks now, and ``join()`` returns the report (see :class:`_Chunks`)."""
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
     m = min(n, _CHUNK)
@@ -227,20 +233,23 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
                 s[3, p, q] = np.multiply(a, a, out=b).sum()
         return s
 
-    # one running sum in chunk order, as on one thread
-    s_re, s_im, s2_re, s2_im = sum(_map_chunks(n, chunk_sums, scratch), np.zeros((4, 9, 9)))
-    upper = np.triu_indices(9, 1)
-    lower = upper[::-1]
-    s_re[lower], s_im[lower] = s_re[upper], -s_im[upper]
-    s2_re[lower], s2_im[lower] = s2_re[upper], s2_im[upper]
-    est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
-    s2_re, s2_im = s2_re.reshape(3, 3, 3, 3), s2_im.reshape(3, 3, 3, 3)
-    var_re = np.maximum(s2_re / n - est.real ** 2, 0.0) * n / (n - 1)
-    var_im = np.maximum(s2_im / n - est.imag ** 2, 0.0) * n / (n - 1)
-    return OrthogonalityReport(estimates=est,
-                               std_error_re=np.sqrt(var_re / n),
-                               std_error_im=np.sqrt(var_im / n),
-                               n_samples=n, seed=seed)
+    def report(sums):
+        # one running sum in chunk order, as on one thread
+        s_re, s_im, s2_re, s2_im = sum(sums, np.zeros((4, 9, 9)))
+        upper = np.triu_indices(9, 1)
+        lower = upper[::-1]
+        s_re[lower], s_im[lower] = s_re[upper], -s_im[upper]
+        s2_re[lower], s2_im[lower] = s2_re[upper], s2_im[upper]
+        est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
+        s2_re, s2_im = s2_re.reshape(3, 3, 3, 3), s2_im.reshape(3, 3, 3, 3)
+        var_re = np.maximum(s2_re / n - est.real ** 2, 0.0) * n / (n - 1)
+        var_im = np.maximum(s2_im / n - est.imag ** 2, 0.0) * n / (n - 1)
+        return OrthogonalityReport(estimates=est,
+                                   std_error_re=np.sqrt(var_re / n),
+                                   std_error_im=np.sqrt(var_im / n),
+                                   n_samples=n, seed=seed)
+
+    return _Chunks(n, chunk_sums, scratch, report)
 
 
 def _usable_cpus() -> int:
@@ -251,44 +260,80 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(n: int, step, scratch) -> list:
-    """``[step(start, stop, ws) for each _CHUNK-row chunk [start, stop) of
-    n rows]``, in chunk order, on one thread or two.
+class _Chunks:
+    """``step(start, stop, ws)`` for each ``_CHUNK``-row chunk [start, stop)
+    of n rows, begun when this is made and finished by :meth:`join`, which
+    returns ``finish`` of the results in chunk order.
 
-    When the process may use two CPUs and there are two chunks or more, the
-    calling thread and one helper thread each claim the next unclaimed
-    chunk, so a thread that gets less CPU computes fewer chunks; numpy
-    releases the interpreter lock in the draws and the ufuncs.  A step's
-    result must depend only on its chunk; then the results are
+    When the process may use two CPUs and there are two chunks or more, a
+    helper thread starts claiming the next unclaimed chunk at once, and the
+    calling thread claims the rest in :meth:`join`; so a thread that gets
+    less CPU computes fewer chunks, and work done between the start and the
+    join overlaps the helper's.  numpy releases the interpreter lock in the
+    draws and the ufuncs.  Otherwise nothing starts before :meth:`join`.  A
+    step's result must depend only on its chunk; then the results are
     bit-identical on one thread or two.  An exception in the helper is
-    raised here, and the helper is joined before this returns.
+    raised by :meth:`join`, and the helper is joined before that returns.
+    Leaving a ``with`` block on this stops the helper claiming chunks and
+    joins it, so an exception raised before the join leaves no thread.
 
     ``scratch()`` makes one thread's workspace ``ws``, on the calling
     thread: what a helper allocates and frees stays in its own malloc
-    arena and raises the process's peak memory.
+    arena and raises the process's peak memory.  The caller's own is made
+    in :meth:`join`, so it is not held while the helper runs alone.
     """
-    starts = range(0, n, _CHUNK)
-    results = [None] * len(starts)
-    claims, lock = iter(range(len(starts))), threading.Lock()
 
-    def run(ws):
+    def __init__(self, n: int, step, scratch, finish=list):
+        self._n, self._step, self._scratch, self._finish = n, step, scratch, finish
+        self._starts = range(0, n, _CHUNK)
+        self._results = [None] * len(self._starts)
+        self._claims, self._lock = iter(range(len(self._starts))), threading.Lock()
+        self._pool = self._helper = None
+        if len(self._starts) >= 2 and _usable_cpus() >= 2:
+            from concurrent.futures import ThreadPoolExecutor
+            helper_ws = scratch()
+            self._pool = ThreadPoolExecutor(max_workers=1)
+            self._helper = self._pool.submit(self._run, helper_ws)
+
+    def _run(self, ws) -> None:
         while True:
-            with lock:
-                i = next(claims, None)
+            with self._lock:
+                i = next(self._claims, None)
             if i is None:
                 return
-            results[i] = step(starts[i], min(starts[i] + _CHUNK, n), ws)
+            start = self._starts[i]
+            self._results[i] = self._step(start, min(start + _CHUNK, self._n), ws)
 
-    if len(starts) < 2 or _usable_cpus() < 2:
-        run(scratch())
-        return results
-    from concurrent.futures import ThreadPoolExecutor
-    helper_ws = scratch()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(run, helper_ws)
-        run(scratch())
-        helper.result()
-    return results
+    def join(self):
+        """Compute the chunks no thread has claimed, wait for the helper and
+        return ``finish(results)``."""
+        try:
+            self._run(self._scratch())
+            if self._helper is not None:
+                self._helper.result()
+        finally:
+            self.close()
+        return self._finish(self._results)
+
+    def close(self) -> None:
+        """Let no thread claim another chunk, and join the helper."""
+        with self._lock:
+            self._claims = iter(())
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _map_chunks(n: int, step, scratch) -> list:
+    """``[step(start, stop, ws) for each _CHUNK-row chunk [start, stop) of
+    n rows]``, in chunk order, on one thread or two: :class:`_Chunks`
+    started and joined at once."""
+    return _Chunks(n, step, scratch).join()
 
 
 def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
@@ -298,7 +343,7 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     times the box's Lebesgue volume estimates the closed form
     :func:`total_volume`.  Serves as the quadrature cross-check.  The
     chunks run on one thread or two with the same bits (see
-    :func:`_map_chunks`).
+    :class:`_Chunks`).
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")

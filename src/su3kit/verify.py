@@ -43,6 +43,9 @@ class CheckResult:
     threshold: float
     passed: bool
     detail: str = ""
+    # random points, matrices or draws the residual is taken over; None for
+    # a check on fixed inputs
+    n_samples: int | None = None
     # seconds from the previous result of the run to this one
     elapsed_s: float = field(default=0.0, compare=False)
 
@@ -174,94 +177,113 @@ def stokes_rectangle(base, bounds, samples, samples_per_segment) -> float:
 
 
 def run_checks(level: str = "quick", seed: int = 0) -> Checks:
-    """Run the named invariant suite; returns one result per check."""
+    """Run the named invariant suite; returns one result per check.
+
+    The orthogonality estimate depends only on the seed, so when the
+    process may use two CPUs it starts on a helper thread before the first
+    check and runs during the serial checks that come before it.  The
+    calling thread finishes what remains of it, and waits for the helper,
+    before the volume estimate, so the report's times show only that wait,
+    carried like a shared computation by the group's first check,
+    ``measure.volume_mc_3sigma``.
+    """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
-    rng = np.random.default_rng(seed)
-    checks = Checks()
-    last = time.perf_counter()
-
-    def add(name, residual, threshold, detail=""):
-        # timed from the previous result: the first check of a group carries
-        # the computation the group shares
-        nonlocal last
-        now = time.perf_counter()
-        checks.append(CheckResult(name=name, residual=float(residual), threshold=threshold,
-                                  passed=bool(residual <= threshold), detail=detail,
-                                  elapsed_s=now - last))
-        last = now
-
-    # algebra tables
-    add("algebra.commutator_table", algebra.commutator_tensor_check().max(), 1e-14)
-    add("algebra.anticommutator_table", algebra.anticommutator_tensor_check().max(), 1e-14)
-
-    # chart round-trip on QR-Haar matrices
-    n_rt = 1000 if full else 100
-    add("group.round_trip", round_trip(group.random_su3(n_rt, rng)), 1e-10, f"n={n_rt}")
-
-    # defining relations by finite differences
-    n_pts = 100 if full else 20
-    left, right, adjoint = defining_relations(_haar_points(rng, n_pts))
-    add("cartan.left_defining_relation", left, 1e-7, f"n={n_pts}")
-    add("cartan.right_defining_relation", right, 1e-7, f"n={n_pts}")
-    add("cartan.right_equals_adjoint_times_left", adjoint, 1e-10)
-
-    # commutator closure (operator level, via differentiated coefficients)
-    n_cl = 8 if full else 3
-    left, right, mixed = closure(_haar_points(rng, n_cl))
-    add("cartan.closure_left_plus_C", left, 1e-5, f"n={n_cl}")
-    add("cartan.closure_right_minus_C", right, 1e-5)
-    add("cartan.left_right_commute", mixed, 1e-5)
-
-    # duality pairing
-    add("cartan.duality_pairing", duality(_haar_points(rng, 100 if full else 20)), 1e-11)
-
-    # Haar density: det ratio constancy, left = right, spot value
-    n_det = 1000 if full else 100
-    spread, lr = density_residuals(_haar_points(rng, n_det))
-    add("cartan.density_ratio_constant", spread, 1e-9, f"n={n_det}")
-    add("cartan.left_right_density_equal", lr, 1e-11)
-    spot = abs(cartan.haar_density([0, np.pi / 4, 0, np.pi / 4, 0, np.pi / 4, 0, 0]) - 0.5)
-    add("cartan.density_spot_value", spot, 1e-12)
-
-    # volume and orthogonality
-    n_vol = 1_000_000 if full else 100_000
-    est, se = measure.volume_mc_estimate(n_vol, seed=seed)
-    dev = abs(est - measure.total_volume()) / se
-    add("measure.volume_mc_3sigma", dev, 3.0,
-        f"estimate {est:.3f} vs {measure.total_volume():.3f}, n={n_vol}")
     n_orth = 100_000 if full else 20_000
-    report = measure.orthogonality_suite(n_orth, seed=seed)
-    add("measure.orthogonality_4sigma", report.max_sigma(), 4.0, f"n={n_orth}")
+    with measure._start_orthogonality(n_orth, seed) as orthogonality:
+        rng = np.random.default_rng(seed)
+        checks = Checks()
+        last = time.perf_counter()
 
-    # state constraints
-    n_states = 500 if full else 50
-    pure = pure_state_residual(group.compose_batch(_haar_points(rng, n_states)))
-    pts = _haar_points(rng, 20 if full else 5)
-    moved = pts.copy()
-    moved[:, 4:8] = rng.uniform(0.1, 1.2, (len(pts), 4))
-    add("states.pure_state_constraints", pure, 1e-11, f"n={n_states}")
-    add("states.stabilizer_invariance", stabilizer_residual(pts, moved), 1e-12)
+        def add(name, residual, threshold, detail="", n_samples=None):
+            # timed from the previous result: the first check of a group carries
+            # the computation the group shares
+            nonlocal last
+            now = time.perf_counter()
+            checks.append(CheckResult(name=name, residual=float(residual), threshold=threshold,
+                                      passed=bool(residual <= threshold), detail=detail,
+                                      n_samples=n_samples, elapsed_s=now - last))
+            last = now
 
-    # phases
-    conn, panch = gamma_circle(10_000 if full else 2000)
-    add("phase.gamma_circle_connection", conn, 1e-6)
-    add("phase.gamma_circle_pancharatnam", panch, 1e-4)
-    stokes = stokes_rectangle(np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8]),
-                              ((0.2, np.pi / 3), (0.3, 2.1)),
-                              (2048, 64) if full else (1024, 32), 4096 if full else 1024)
-    add("phase.stokes_rectangle", stokes, 1e-6)
+        # algebra tables
+        add("algebra.commutator_table", algebra.commutator_tensor_check().max(), 1e-14)
+        add("algebra.anticommutator_table", algebra.anticommutator_tensor_check().max(), 1e-14)
 
-    # closed-form tables against the exact construction
-    cmp1 = cartan.closed_form_comparison(seed=seed)
-    cmp2 = cartan.closed_form_comparison(seed=seed + 1)
-    stable = cmp1.catalogue == cmp2.catalogue
-    documented = cmp1.matches_documented_catalogue()
-    add("closed_forms.catalogue_documented", 0.0 if documented else 1.0, 0.5,
-        f"{len(cmp1.catalogue)} deviant entries")
-    add("closed_forms.catalogue_stable", 0.0 if stable else 1.0, 0.5)
-    add("closed_forms.agreeing_entries", cmp1.agreeing_max, 1e-10)
+        # chart round-trip on QR-Haar matrices
+        n_rt = 1000 if full else 100
+        add("group.round_trip", round_trip(group.random_su3(n_rt, rng)), 1e-10, f"n={n_rt}",
+            n_samples=n_rt)
 
-    checks.closed_form_catalogue = cmp1.catalogue
-    return checks
+        # defining relations by finite differences
+        n_pts = 100 if full else 20
+        left, right, adjoint = defining_relations(_haar_points(rng, n_pts))
+        add("cartan.left_defining_relation", left, 1e-7, f"n={n_pts}", n_samples=n_pts)
+        add("cartan.right_defining_relation", right, 1e-7, f"n={n_pts}", n_samples=n_pts)
+        add("cartan.right_equals_adjoint_times_left", adjoint, 1e-10, n_samples=n_pts)
+
+        # commutator closure (operator level, via differentiated coefficients)
+        n_cl = 8 if full else 3
+        left, right, mixed = closure(_haar_points(rng, n_cl))
+        add("cartan.closure_left_plus_C", left, 1e-5, f"n={n_cl}", n_samples=n_cl)
+        add("cartan.closure_right_minus_C", right, 1e-5, n_samples=n_cl)
+        add("cartan.left_right_commute", mixed, 1e-5, n_samples=n_cl)
+
+        # duality pairing
+        n_dual = 100 if full else 20
+        add("cartan.duality_pairing", duality(_haar_points(rng, n_dual)), 1e-11,
+            n_samples=n_dual)
+
+        # Haar density: det ratio constancy, left = right, spot value
+        n_det = 1000 if full else 100
+        spread, lr = density_residuals(_haar_points(rng, n_det))
+        add("cartan.density_ratio_constant", spread, 1e-9, f"n={n_det}", n_samples=n_det)
+        add("cartan.left_right_density_equal", lr, 1e-11, n_samples=n_det)
+        spot = abs(cartan.haar_density([0, np.pi / 4, 0, np.pi / 4, 0, np.pi / 4, 0, 0]) - 0.5)
+        add("cartan.density_spot_value", spot, 1e-12)
+
+        # volume and orthogonality: the orthogonality estimate is finished
+        # first, so that its workspaces are freed before the volume's are taken
+        report = orthogonality.join()
+        n_vol = 1_000_000 if full else 100_000
+        est, se = measure.volume_mc_estimate(n_vol, seed=seed)
+        dev = abs(est - measure.total_volume()) / se
+        add("measure.volume_mc_3sigma", dev, 3.0,
+            f"estimate {est:.3f} vs {measure.total_volume():.3f}, n={n_vol}", n_samples=n_vol)
+        add("measure.orthogonality_4sigma", report.max_sigma(), 4.0, f"n={n_orth}",
+            n_samples=n_orth)
+
+        # state constraints
+        n_states = 500 if full else 50
+        pure = pure_state_residual(group.compose_batch(_haar_points(rng, n_states)))
+        pts = _haar_points(rng, 20 if full else 5)
+        moved = pts.copy()
+        moved[:, 4:8] = rng.uniform(0.1, 1.2, (len(pts), 4))
+        add("states.pure_state_constraints", pure, 1e-11, f"n={n_states}",
+            n_samples=n_states)
+        add("states.stabilizer_invariance", stabilizer_residual(pts, moved), 1e-12,
+            n_samples=len(pts))
+
+        # phases
+        conn, panch = gamma_circle(10_000 if full else 2000)
+        add("phase.gamma_circle_connection", conn, 1e-6)
+        add("phase.gamma_circle_pancharatnam", panch, 1e-4)
+        stokes = stokes_rectangle(np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8]),
+                                  ((0.2, np.pi / 3), (0.3, 2.1)),
+                                  (2048, 64) if full else (1024, 32), 4096 if full else 1024)
+        add("phase.stokes_rectangle", stokes, 1e-6)
+
+        # closed-form tables against the exact construction
+        cmp1 = cartan.closed_form_comparison(seed=seed)
+        cmp2 = cartan.closed_form_comparison(seed=seed + 1)
+        stable = cmp1.catalogue == cmp2.catalogue
+        documented = cmp1.matches_documented_catalogue()
+        add("closed_forms.catalogue_documented", 0.0 if documented else 1.0, 0.5,
+            f"{len(cmp1.catalogue)} deviant entries", n_samples=len(cmp1.points))
+        add("closed_forms.catalogue_stable", 0.0 if stable else 1.0, 0.5,
+            n_samples=len(cmp1.points) + len(cmp2.points))
+        add("closed_forms.agreeing_entries", cmp1.agreeing_max, 1e-10,
+            n_samples=len(cmp1.points))
+
+        checks.closed_form_catalogue = cmp1.catalogue
+        return checks

@@ -211,6 +211,40 @@ def test_phase_non_finite_waypoint_exit_2(tmp_path, capsys):
     assert "finite" in err
 
 
+ZERO_ANGLES = dict.fromkeys(("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi"), 0)
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("phase", "--loop", "[1, 2]"),
+    ("decompose", "--matrix", "[1]"),
+    ("compose", "--angles", "[1,2]"),
+    ("compose", "--angles", json.dumps({**ZERO_ANGLES, "alpha": [1]})),
+], ids=("loop-array", "matrix-array", "angles-array", "angle-array"))
+def test_json_that_is_not_the_expected_object_exit_2(tmp_path, capsys, command, option, text):
+    if option != "--angles":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run_cli(capsys, command, option, text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and " JSON: " in err
+
+
+def test_phase_closed_must_be_a_json_boolean(tmp_path, capsys):
+    loop_file = tmp_path / "loop.json"
+    waypoints = [[0, 0, 0, np.pi / 4, 0, 0, 0, 0], [0, 0, 2 * np.pi, np.pi / 4, 0, 0, 0, 0]]
+    loop_file.write_text(json.dumps({"waypoints": waypoints, "closed": True}))
+    code, out, _ = run_cli(capsys, "phase", "--loop", str(loop_file))
+    assert code == 0 and json.loads(out)["phase_rad"] == pytest.approx(np.pi, abs=1e-3)
+    loop_file.write_text(json.dumps({"waypoints": waypoints, "closed": False}))
+    code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file))
+    assert code == 2 and out == "" and "requires a closed loop" in err
+    for value in ("no", 1, None):
+        loop_file.write_text(json.dumps({"waypoints": waypoints, "closed": value}))
+        code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file))
+        assert code == 2 and out == "" and "'closed' must be true or false" in err
+
+
 def test_verify_quick_passes_and_reports_catalogue(capsys):
     code, out, err = run_cli(capsys, "verify", "--level", "quick", "--seed", "3")
     assert code == 0
@@ -234,6 +268,14 @@ def test_verify_report_carries_versions_and_times(capsys):
     assert all(isinstance(t, float) and t >= 0 for t in times)
     # the checks share the run's time between them and nothing else
     assert 0 < sum(times) <= payload["elapsed_s"]
+    counts = {c["name"]: c["n_samples"] for c in payload["checks"]}
+    assert all(n is None or type(n) is int and n > 0 for n in counts.values())
+    assert counts["group.round_trip"] == 100 and counts["measure.volume_mc_3sigma"] == 100_000
+    assert counts["algebra.commutator_table"] is None and counts["phase.stokes_rectangle"] is None
+    # a detail that names the sample count keeps its text and agrees
+    for c in payload["checks"]:
+        if "n=" in c["detail"]:
+            assert c["detail"].endswith(f"n={c['n_samples']}")
 
 
 def test_verify_negative_seed_exit_2(capsys):

@@ -74,3 +74,11 @@ def test_unknown_attribute_raises_attribute_error():
                   "except AttributeError as exc:\n"
                   "    print(json.dumps([str(exc), hasattr(su3kit, 'no_such_name'), loaded()]))")
     assert found == ["module 'su3kit' has no attribute 'no_such_name'", False, ["su3kit"]]
+
+
+def test_verify_import_does_not_load_the_thread_pool():
+    # concurrent.futures is imported by the first two-thread estimate only
+    found = fresh("import su3kit.verify\n"
+                  "print(json.dumps(['concurrent.futures' in sys.modules,\n"
+                  "                  'su3kit.measure' in loaded()]))")
+    assert found == [False, True]

@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import subprocess
 import sys
@@ -296,35 +295,27 @@ def test_helper_thread_exception_reaches_caller(monkeypatch, estimator, kernel):
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
-def test_caller_computes_every_chunk_while_the_helper_is_held_back(monkeypatch, estimator):
+def test_caller_computes_every_chunk_while_the_helper_is_held_back(monkeypatch, estimator,
+                                                                   held_back_helper):
     # a helper whose CPU is busy starts late; the caller then claims every
     # chunk instead of waiting for the helper's share
     n = 3 * measure._CHUNK + 5
     starts = set(range(0, n, measure._CHUNK))
     computed_by = {}
-    caller_claimed_all = threading.Event()
     stream = measure._stream
 
     def recording_stream(seed, start):
         computed_by[start] = threading.current_thread()
         if computed_by.keys() == starts:
-            caller_claimed_all.set()
+            held_back_helper.set()
         return stream(seed, start)
 
-    class HeldBackPool(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            def held_back(*args):
-                caller_claimed_all.wait(timeout=10)
-                return fn(*args)
-            return super().submit(held_back, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldBackPool)
     monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(measure, "_stream", recording_stream)
     threads = threading.active_count()
     result = getattr(measure, estimator)(n, seed=n)
     assert threading.active_count() == threads          # the helper was joined
-    assert caller_claimed_all.is_set()
+    assert held_back_helper.is_set()
     assert set(computed_by.values()) == {threading.main_thread()}
     assert _equals_serial_oracle(estimator, result, n, n)
 

@@ -1,12 +1,16 @@
 """Each residual function of su3kit.verify, which ``su3kit verify`` and the
 acceptance suite trust, reports a residual above its threshold once the
-identity it checks is broken by a relative error of about 1e-4 or less."""
+identity it checks is broken by a relative error of about 1e-4 or less;
+and ``run_checks`` gives the same results however its orthogonality
+estimate, begun before the first check, is scheduled."""
 
 import dataclasses
+import threading
 
 import numpy as np
+import pytest
 
-from su3kit import cartan, phase, verify
+from su3kit import cartan, measure, phase, verify
 from su3kit.group import random_su3
 from su3kit.measure import sample_haar
 
@@ -52,3 +56,71 @@ def test_faulty_matrices_and_states_are_caught():
     moved = POINTS.copy()
     moved[:, 3] += 1e-4                 # theta is not a stabilizer angle
     assert verify.stabilizer_residual(POINTS, moved) > 1e-12
+
+
+def full_checks(seed):
+    return [(c.name, c.residual.hex(), c.passed, c.n_samples)
+            for c in verify.run_checks("full", seed)]
+
+
+ORTH_STARTS = range(0, 100_000, measure._CHUNK)      # at the full level
+
+
+@pytest.mark.parametrize("seed", (124, 3))
+def test_full_checks_are_bit_identical_on_one_cpu_and_two(monkeypatch, seed):
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(measure, "_usable_cpus", lambda: cpus)
+        results[cpus] = full_checks(seed)
+    assert results[1] == results[2]
+    # seed 124 is a catalogued orthogonality miss (bench/worker.py)
+    failed = [name for name, _, passed, _ in results[2] if not passed]
+    assert failed == (["measure.orthogonality_4sigma"] if seed == 124 else [])
+
+
+def test_a_failing_check_stops_and_joins_the_orthogonality_helper(monkeypatch):
+    raised = threading.Event()
+    helper_chunks = []
+    stream = measure._stream
+
+    def recording_stream(seed, start):
+        if threading.current_thread() is not threading.main_thread():
+            helper_chunks.append(start)
+            raised.wait(timeout=10)             # so that the check fails mid-estimate
+        return stream(seed, start)
+
+    def failing_duality(points):
+        raised.set()
+        raise RuntimeError("duality failed")
+
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(measure, "_stream", recording_stream)
+    monkeypatch.setattr(verify, "duality", failing_duality)
+    with pytest.raises(RuntimeError, match="duality failed"):
+        verify.run_checks("full", 3)
+    # the helper stopped claiming chunks; no_thread_left_running checks it was joined
+    assert len(helper_chunks) < len(ORTH_STARTS)
+
+
+def test_caller_computes_every_orthogonality_chunk_while_the_helper_is_held_back(
+        monkeypatch, held_back_helper):
+    seed = 3
+    starts = set(ORTH_STARTS)
+    computed_by = {}
+    stream = measure._stream
+
+    def recording_stream(key, start):
+        # the orthogonality chunks are the first streams keyed by the seed itself
+        if key == seed and start in starts:
+            computed_by.setdefault(start, threading.current_thread())
+            if computed_by.keys() == starts:
+                held_back_helper.set()
+        return stream(key, start)
+
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 1)
+    expected = full_checks(seed)
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(measure, "_stream", recording_stream)
+    assert full_checks(seed) == expected
+    assert held_back_helper.is_set()
+    assert set(computed_by.values()) == {threading.main_thread()}
