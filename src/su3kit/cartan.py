@@ -21,15 +21,17 @@ Everything else is linear algebra on b and c:
 ``left_coeffs``, ``right_coeffs``, ``left_fields``, ``right_fields``,
 ``left_forms``, ``right_forms``, ``frame``, ``haar_density`` and
 ``haar_density_closed`` also take an (n, 8) array of points and return the
-stack of their per-point results.  ``frame`` and ``haar_density`` at every
-n, and the coefficients, fields and forms of a batch, run one stacked
-kernel: the chart factors of a block of points are built at once
-(``group._factors``), seven stacked products advance the prefix frames of b
-and the suffix frames of c together, and one stacked sandwich and one trace
-projection give every column of both, or of the one side a call needs.
-The one-point ``left_coeffs`` and ``right_coeffs`` keep the factor-by-factor
-code as the reference; the kernel keeps its association order, so its
-results equal the reference to the bit (numpy 2.4).
+stack of their per-point results.  Each of them but
+``haar_density_closed`` and the one-point ``left_coeffs`` runs one stacked
+kernel (``_coeff_stacks``), one point being a batch of one row: the chart
+factors of a block of points are built at once (``group._factors``), seven
+stacked products advance the prefix frames of b and the suffix frames of c
+together, and one stacked sandwich and one trace projection give every
+column of both, or of the one side a call needs.  The one-point
+``left_coeffs`` keeps the factor-by-factor loop as the reference, whose
+eight ``exp_generator`` calls the benchmark's tracer test counts; the
+kernel keeps its association order, so its rows equal the reference to the
+bit (numpy 2.4).
 ``closed_form_comparison`` takes the exact fields and forms of all its
 points from one ``frame`` call and evaluates each table on the whole batch.
 It and ``matches_documented_catalogue`` import ``closed_forms`` when called,
@@ -47,8 +49,7 @@ import numpy as np
 
 from .algebra import IDENTITY3, LAMBDA, expand_hermitian
 from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
-                    _dagger, _factor_blocks, _factors, exp_generator)
-from .measure import _haar_density
+                    _dagger, _factor_blocks, _factors, _haar_density, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -102,13 +103,17 @@ def _coeff_block(f: np.ndarray, sides=BOTH) -> np.ndarray:
 
 
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
-    """:func:`_coeff_block` of an (n, 8) batch, ``_BLOCK`` rows at a time."""
-    if len(p) <= _BLOCK:
-        return _coeff_block(_factors(p), sides)
-    out = np.empty((2, len(p), 8, 8))[sides]     # a side not selected is never touched
-    for i, f in _factor_blocks(p):
-        out[..., i:i + _BLOCK, :, :] = _coeff_block(f, sides)
-    return out
+    """:func:`_coeff_block` of a point from :func:`_points`, as (2, 8, 8), or
+    of an (n, 8) batch, as (2, n, 8, 8), ``_BLOCK`` rows at a time; without
+    the leading axis for one side."""
+    rows = p.reshape(-1, 8)
+    if len(rows) <= _BLOCK:
+        out = _coeff_block(_factors(rows), sides)
+    else:
+        out = np.empty((2, len(rows), 8, 8))[sides]     # a side not selected is never touched
+        for i, f in _factor_blocks(rows):
+            out[..., i:i + _BLOCK, :, :] = _coeff_block(f, sides)
+    return out if p.ndim == 2 else out[..., 0, :, :]
 
 
 def left_coeffs(angles) -> np.ndarray:
@@ -119,6 +124,8 @@ def left_coeffs(angles) -> np.ndarray:
     p = _points(angles)
     if p.ndim == 2:
         return _coeff_stacks(p, LEFT)
+    # The factor-by-factor reference of the kernel, kept for one point only:
+    # bench/tests/test_bench.py counts its eight exp_generator calls.
     b = np.empty((8, 8))
     prefix = np.eye(3, dtype=complex)
     for j in range(8):
@@ -133,16 +140,7 @@ def right_coeffs(angles) -> np.ndarray:
 
     An (n, 8) array of points gives the (n, 8, 8) stack of their c.
     """
-    p = _points(angles)
-    if p.ndim == 2:
-        return _coeff_stacks(p, RIGHT)
-    c = np.empty((8, 8))
-    suffix = np.eye(3, dtype=complex)
-    for j in range(7, -1, -1):
-        suffix = exp_generator(FACTOR_GENERATORS[j], p[j]) @ suffix
-        gen = LAMBDA[FACTOR_GENERATORS[j] - 1]
-        c[:, j] = expand_hermitian(suffix.conj().T @ gen @ suffix)
-    return c
+    return _coeff_stacks(_points(angles), RIGHT)
 
 
 # (name, coordinate, multiple of it) of each sine factor of the Haar density
@@ -174,14 +172,14 @@ def left_fields(angles) -> np.ndarray:
     """
     p = _points(angles)
     _check_nondegenerate(p)
-    return np.linalg.inv(left_coeffs(p).swapaxes(-1, -2))
+    return np.linalg.inv(_coeff_stacks(p, LEFT).swapaxes(-1, -2))
 
 
 def right_fields(angles) -> np.ndarray:
     """Coefficients of the right invariant fields, Lambda^r_i = i A[i, j] d_j."""
     p = _points(angles)
     _check_nondegenerate(p)
-    return np.linalg.inv(right_coeffs(p).swapaxes(-1, -2))
+    return np.linalg.inv(_coeff_stacks(p, RIGHT).swapaxes(-1, -2))
 
 
 def left_forms(angles) -> np.ndarray:
@@ -191,14 +189,14 @@ def left_forms(angles) -> np.ndarray:
     """
     p = _points(angles)
     _check_nondegenerate(p)
-    return left_coeffs(p)
+    return _coeff_stacks(p, LEFT)
 
 
 def right_forms(angles) -> np.ndarray:
     """Coefficients of the right invariant forms, omega^l_r = -i C[l, k] dx^k."""
     p = _points(angles)
     _check_nondegenerate(p)
-    return right_coeffs(p)
+    return _coeff_stacks(p, RIGHT)
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def _coeffs(p: np.ndarray) -> np.ndarray:
     """The stack (b, c) at a point from :func:`_points`, as (2, 8, 8), or at
     an (n, 8) batch, as (2, n, 8, 8); refuses points where b is singular."""
     _check_nondegenerate(p)
-    return _coeff_stacks(p.reshape(-1, 8)).reshape((2,) + p.shape[:-1] + (8, 8))
+    return _coeff_stacks(p)
 
 
 def frame(angles) -> FrameAtPoint:
@@ -239,9 +237,9 @@ def haar_density(angles):
     for one point, an (n,) array for an (n, 8) batch.
     """
     p = _points(angles)
-    value = np.abs(np.linalg.det(_coeff_stacks(p.reshape(-1, 8), LEFT)))
+    value = np.abs(np.linalg.det(_coeff_stacks(p, LEFT)))
     value /= DENSITY_DET_RATIO
-    return float(value[0]) if p.ndim == 1 else value
+    return float(value) if p.ndim == 1 else value
 
 
 def haar_density_closed(angles):

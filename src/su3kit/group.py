@@ -90,6 +90,12 @@ class EulerAngles:
         return bool(np.all(v >= 0) and np.all(v <= CANONICAL_HIGH))
 
 
+def _haar_density(beta, theta, b):
+    """Chart density sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta), elementwise."""
+    s = np.sin(theta)
+    return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
+
+
 def _check_finite(p: np.ndarray) -> None:
     """Raise ValueError if a chart point, or any row of an (n, 8) batch of
     them, holds a NaN or an infinity; for a batch, name the first bad row."""

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ANGLE_NAMES, PHI_PERIOD, compose_batch
+from .group import ANGLE_NAMES, PHI_PERIOD, _haar_density, compose_batch
 
 _CHUNK = 1 << 14
 _SPAN = 1 << 11           # rows per compose_batch call in orthogonality_suite
@@ -48,12 +49,6 @@ def total_volume() -> float:
     the theta integral is 1/2.
     """
     return 0.5 * np.sqrt(3.0) * np.pi ** 5
-
-
-def _haar_density(beta, theta, b):
-    """Chart density sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta), elementwise."""
-    s = np.sin(theta)
-    return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
 
 
 def _stream(seed: int, start: int) -> np.random.Generator:
@@ -78,14 +73,6 @@ def _angles(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _haar_chunks(seed: int, n: int):
-    """(start, angles) of each ``_CHUNK``-row chunk of ``sample_haar(seed, n)``
-    in order, each drawn into one reused buffer: read a chunk before the next."""
-    buf = np.empty((min(n, _CHUNK), 8))
-    for start in range(0, n, _CHUNK):
-        yield start, _angles(_stream(seed, start).random(out=buf[:min(_CHUNK, n - start)]))
-
-
 def sample_haar(seed: int, n: int) -> np.ndarray:
     """n i.i.d. Haar samples as an (n, 8) array of chart angles.
 
@@ -100,17 +87,11 @@ def sample_haar(seed: int, n: int) -> np.ndarray:
 def dump_csv(samples: np.ndarray, path_or_file) -> None:
     """Write samples as CSV with the angle-name header, 17 significant digits."""
     samples = np.asarray(samples, dtype=float)
-    if hasattr(path_or_file, "write"):
-        _write_csv(samples, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            _write_csv(samples, fh)
-
-
-def _write_csv(samples: np.ndarray, fh) -> None:
-    fh.write(",".join(ANGLE_NAMES) + "\n")
-    for row in samples:
-        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
+          else open(path_or_file, "w", encoding="utf-8")) as fh:
+        fh.write(",".join(ANGLE_NAMES) + "\n")
+        for row in samples:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,9 @@ def integrate(f, n: int, seed: int = 0) -> IntegrationResult:
     if n < 2:
         raise ValueError("need n >= 2 samples for a standard error")
     values = np.empty(n, dtype=complex)
-    for start, angles in _haar_chunks(seed, n):
+    buf = np.empty((min(n, _CHUNK), 8))
+    for start in range(0, n, _CHUNK):
+        angles = _angles(_stream(seed, start).random(out=buf[:min(_CHUNK, n - start)]))
         values[start:start + len(angles)] = f(compose_batch(angles))
     mean = values.mean()
     var = values.real.var(ddof=1) + values.imag.var(ddof=1)
@@ -329,13 +312,6 @@ class _Chunks:
         self.close()
 
 
-def _map_chunks(n: int, step, scratch) -> list:
-    """``[step(start, stop, ws) for each _CHUNK-row chunk [start, stop) of
-    n rows]``, in chunk order, on one thread or two: :class:`_Chunks`
-    started and joined at once."""
-    return _Chunks(n, step, scratch).join()
-
-
 def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     """(estimate, std_error) of the reference-box volume by plain MC.
 
@@ -354,7 +330,7 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
         # only beta, theta and b enter the density
         dens[start:stop] = _haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
 
-    _map_chunks(n, fill, lambda: np.empty((min(n, _CHUNK), 8)))
+    _Chunks(n, fill, lambda: np.empty((min(n, _CHUNK), 8))).join()
     box = float(np.prod(REFERENCE_BOX_HIGH))
     est = box * dens.mean()
     se = box * dens.std(ddof=1) / np.sqrt(n)

@@ -32,6 +32,8 @@ from .group import ANGLE_NAMES, _angles_array, _check_finite, compose_batch
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
 _PHI = 7
 
+_DPHI = -2.0 / SQRT3    # d phi coefficient of the connection
+
 _MIN_OVERLAP = 1e-6     # smallest |<psi_k | psi_k+1>| an overlap chain may hold
 
 
@@ -94,7 +96,7 @@ def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
     cov[:, _ALPHA] = s2 * np.cos(2 * points[:, _BETA])
     cov[:, _GAMMA] = s2
     if include_dphi:
-        cov[:, _PHI] = -2.0 / SQRT3
+        cov[:, _PHI] = _DPHI
     return cov
 
 
@@ -136,7 +138,7 @@ def phase_pancharatnam(loop: LoopSpec) -> float:
     pts = loop.sample_points()
     psi = compose_batch(pts)[:, :, 2]
     total = overlap_chain_phase(psi)
-    dphi_term = (-2.0 / SQRT3) * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
+    dphi_term = _DPHI * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
     return total - dphi_term
 
 

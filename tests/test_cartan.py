@@ -182,15 +182,35 @@ def same_bits(a, b) -> bool:
 
 
 def test_frame_matches_individual_constructors():
-    # frame and haar_density run the stacked kernel at one point too; the
-    # one-point coefficient functions are the factor-by-factor reference
+    # every call runs the stacked kernel but the one-point left_coeffs, the
+    # factor-by-factor reference; c = adjoint(D) b ties the right side to it
     for p in np.concatenate([sample_haar(19, 2000), near_strata_points(36, 40)]):
         fr = cartan.frame(p)
         b = cartan.left_coeffs(p)
-        assert same_bits(fr.b_left, b) and same_bits(fr.b_right, cartan.right_coeffs(p)), p
+        assert same_bits(fr.b_left, b), p
+        assert np.abs(fr.b_right - group.adjoint(group.compose(p)) @ b).max() <= 1e-14, p
         assert same_bits(fr.a_left, cartan.left_fields(p)), p
         assert same_bits(fr.a_right, cartan.right_fields(p)), p
         assert cartan.haar_density(p) == abs(np.linalg.det(b)) / cartan.DENSITY_DET_RATIO, p
+
+
+@pytest.mark.parametrize("fn, calls", [(cartan.frame, 0), (cartan.haar_density, 0),
+                                       (cartan.right_coeffs, 0), (cartan.left_fields, 0),
+                                       (cartan.right_fields, 0), (cartan.left_forms, 0),
+                                       (cartan.right_forms, 0), (cartan.left_coeffs, 8)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_only_the_one_point_left_coeffs_builds_factors_one_by_one(monkeypatch, fn, calls):
+    # bench/tests counts the reference loop's eight exp_generator calls too
+    original, made = group.exp_generator, []
+
+    def counted(k, t):
+        made.append(k)
+        return original(k, t)
+
+    for module in (group, cartan):
+        monkeypatch.setattr(module, "exp_generator", counted)
+    fn(sample_haar(41, 1)[0])
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("fn", [cartan.left_coeffs, cartan.right_coeffs,
