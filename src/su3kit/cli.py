@@ -159,26 +159,22 @@ def _cmd_phase(args) -> int:
 
 
 def _rectangle_phase(loop) -> float:
-    """Curvature surface integral for a loop bounding a coordinate rectangle.
-
-    The loop must be a 4-corner rectangle varying exactly two coordinates;
-    the surface spans it with the loop's orientation.
-    """
-    from .phase import phase_curvature
+    """Curvature surface integral over the rectangle bounded by a loop that is
+    exactly ``phase._rectangle_corners(w[0], (i, j), bounds)``, where the first
+    edge moves axis i and the second axis j; any other loop raises ValueError."""
+    from .phase import _rectangle_corners, phase_curvature
     w = loop.waypoints
     if len(w) != 5:
-        raise ValueError("curvature method expects a 4-corner rectangle loop")
-    varying = [k for k in range(8) if np.ptp(w[:, k]) > 0]
-    if len(varying) != 2:
-        raise ValueError("rectangle loop must vary exactly two coordinates")
-    i, j = varying
-    # orientation: first edge should vary axis i
-    if w[0, i] == w[1, i]:
-        i, j = j, i
-    x0, x1 = w[0, i], w[1, i]
-    y0, y1 = w[0, j], w[2, j]
+        raise ValueError("curvature method expects the 5-waypoint boundary of a rectangle")
+    moved = [np.flatnonzero(w[k + 1] != w[k]) for k in (0, 1)]
+    if any(len(axis) != 1 for axis in moved):
+        raise ValueError("each rectangle edge must move exactly one coordinate")
+    (i,), (j,) = moved
+    bounds = ((w[0, i], w[2, i]), (w[0, j], w[2, j]))
+    if not np.array_equal(w, _rectangle_corners(w[0], (i, j), bounds)):
+        raise ValueError("loop is not the boundary of a coordinate rectangle")
     n = max(loop.samples_per_segment, 2)
-    return phase_curvature(w[0], (i, j), ((x0, x1), (y0, y1)), samples=(n, n))
+    return phase_curvature(w[0], (i, j), bounds, samples=(n, n))
 
 
 def _cmd_verify(args) -> int:

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ANGLE_NAMES, PHI_PERIOD, _haar_density, compose_batch
+from .group import ANGLE_NAMES, CANONICAL_HIGH, PHI_PERIOD, _haar_density, compose_batch
 
 _CHUNK = 1 << 14
 _SPAN = 1 << 11           # rows per compose_batch call in orthogonality_suite
+_SCALE = np.where([0, 1, 0, 1, 0, 1, 0, 0], 1.0, CANONICAL_HIGH)  # 1: arcsin columns
 
 # Ranges as published for this chart; the product of the eight 1-D integrals
 # of the density over them is (sqrt(3)/2) pi^5.  Kept as the reference box
@@ -62,14 +63,10 @@ def _stream(seed: int, start: int) -> np.random.Generator:
 def _angles(u: np.ndarray) -> np.ndarray:
     """Chart angles from an (m, 8) array of uniforms on [0, 1), in place,
     by the inverse-CDF marginals of the module docstring; returns u."""
-    u[:, 0] *= np.pi
+    u *= _SCALE
     u[:, 1] = np.arcsin(np.sqrt(u[:, 1]))
-    u[:, 2] *= 2 * np.pi
     u[:, 3] = np.arcsin(u[:, 3] ** 0.25)
-    u[:, 4] *= np.pi
     u[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
-    u[:, 6] *= 2 * np.pi
-    u[:, 7] *= PHI_PERIOD
     return u
 
 

@@ -57,11 +57,7 @@ class LoopSpec:
         if w.shape[0] < 2 or w.shape[1] != 8:
             raise ValueError("LoopSpec needs at least 2 waypoints of 8 angles")
         _check_finite(w)
-        m = self.samples_per_segment
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ValueError(f"samples_per_segment must be an integer, got {m!r}")
-        if m < 1:
-            raise ValueError("samples_per_segment must be >= 1")
+        _check_count(self.samples_per_segment, "samples_per_segment")
         ends = compose_batch(w[[0, -1]])
         residual = np.abs(ends[0] - ends[1]).max()
         if residual > 1e-10:
@@ -72,13 +68,10 @@ class LoopSpec:
 
     def sample_points(self) -> np.ndarray:
         """All sample points along the path, shape (n_segments * m + 1, 8)."""
-        pts = [self.waypoints[:1]]
-        m = self.samples_per_segment
+        w, m = self.waypoints, self.samples_per_segment
         frac = (np.arange(1, m + 1) / m)[:, None]
-        for k in range(len(self.waypoints) - 1):
-            seg = self.waypoints[k] + frac * (self.waypoints[k + 1] - self.waypoints[k])
-            pts.append(seg)
-        return np.vstack(pts)
+        segments = w[:-1, None] + frac * (w[1:] - w[:-1])[:, None]
+        return np.concatenate((w[:1], segments.reshape(-1, 8)))
 
     def reversed(self) -> "LoopSpec":
         return LoopSpec(self.waypoints[::-1].copy(), self.samples_per_segment)
@@ -102,10 +95,10 @@ def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
 
 def curvature(angles) -> np.ndarray:
     """Antisymmetric matrix F of two-form components, F[i, j] = F_(xi, xj)."""
-    p = _angles_array(angles)[None]
+    p = _angles_array(angles)
     f = np.zeros((8, 8))
     for i, j in ((_THETA, _ALPHA), (_BETA, _ALPHA), (_THETA, _GAMMA)):
-        f[i, j] = _curvature_component(p, i, j)[0]
+        f[i, j] = _curvature_component(p[_THETA], p[_BETA], i, j)
     return f - f.T
 
 
@@ -168,43 +161,60 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     base : EulerAngles or 8 reals
         Values of the six coordinates held fixed.
     axes : (name_or_index, name_or_index)
-        The two chart coordinates spanning the rectangle, e.g.
-        ``("theta", "gamma")``.  Orientation follows the axis order.
+        Two different chart coordinates (names or integers 0..7) spanning
+        the rectangle, e.g. ``("theta", "gamma")``.  Orientation follows the
+        axis order.
     bounds : ((x0, x1), (y0, y1))
-        Rectangle bounds along the two axes.
+        Finite rectangle bounds along the two axes.
     samples : (nx, ny)
-        Tensor-product trapezoid resolution.
+        Tensor-product trapezoid resolution, integers >= 1.
 
-    Matches :func:`phase_connection` of the rectangle's boundary loop,
-    traversed counterclockwise in the (axes[0], axes[1]) plane.
+    Matches :func:`phase_connection` of the boundary loop
+    ``_rectangle_corners(base, axes, bounds)``.  The curvature depends on
+    theta and beta alone, so it is evaluated on the two axes only.
     """
     i, j = (_axis_index(ax) for ax in axes)
+    if i == j:
+        raise ValueError(f"axes must be two different coordinates, got {axes!r}")
     (x0, x1), (y0, y1) = bounds
+    if not np.isfinite([x0, x1, y0, y1]).all():
+        raise ValueError(f"bounds must be finite, got {bounds!r}")
     nx, ny = samples
-    if min(nx, ny) < 1:
-        raise ValueError("samples entries must be >= 1")
-    base = _angles_array(base)
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    grid = np.tile(base, (xs.size * ys.size, 1))
-    grid[:, i] = np.repeat(xs, ys.size)
-    grid[:, j] = np.tile(ys, xs.size)
-    f = _curvature_component(grid, i, j).reshape(xs.size, ys.size)
-    wx = _trapezoid_weights(xs)
-    wy = _trapezoid_weights(ys)
-    return float(wx @ f @ wy)
+    for n in samples:
+        _check_count(n, "samples entries")
+    point = list(_angles_array(base))
+    xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
+    point[i], point[j] = xs[:, None], ys[None, :]
+    f = np.broadcast_to(_curvature_component(point[_THETA], point[_BETA], i, j),
+                        (xs.size, ys.size))
+    return float(_trapezoid_weights(xs) @ f @ _trapezoid_weights(ys))
+
+
+def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:
+    """Closed 5-corner boundary of the coordinate rectangle through base,
+    counterclockwise in the (axes[0], axes[1]) plane."""
+    i, j = (_axis_index(ax) for ax in axes)
+    (x0, x1), (y0, y1) = bounds
+    corners = np.tile(_angles_array(base), (5, 1))
+    corners[:, i] = (x0, x1, x1, x0, x0)
+    corners[:, j] = (y0, y0, y1, y1, y0)
+    return corners
+
+
+def _check_count(n, name: str) -> None:
+    """Raise ValueError unless n is an integer >= 1 (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _axis_index(ax) -> int:
-    if isinstance(ax, str):
-        try:
-            return ANGLE_NAMES.index(ax)
-        except ValueError:
-            raise ValueError(f"unknown chart coordinate {ax!r}") from None
-    ax = int(ax)
-    if not 0 <= ax < 8:
-        raise ValueError("coordinate index out of range")
-    return ax
+    if isinstance(ax, str) and ax in ANGLE_NAMES:
+        return ANGLE_NAMES.index(ax)
+    if isinstance(ax, (int, np.integer)) and not isinstance(ax, bool) and 0 <= ax < 8:
+        return int(ax)
+    raise ValueError(f"axes entries must be coordinate names or integers in 0..7, got {ax!r}")
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -215,15 +225,14 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _curvature_component(points: np.ndarray, i: int, j: int) -> np.ndarray:
-    """F[i, j] at each point of an (n, 8) batch."""
+def _curvature_component(theta, beta, i: int, j: int):
+    """F[i, j] at chart points with these theta and beta (broadcast together)."""
     if i < j:
-        return -_curvature_component(points, j, i)
-    th, be = points[:, _THETA], points[:, _BETA]
+        return -_curvature_component(theta, beta, j, i)
     if (i, j) == (_THETA, _ALPHA):
-        return np.sin(2 * th) * np.cos(2 * be)
+        return np.sin(2 * theta) * np.cos(2 * beta)
     if (i, j) == (_BETA, _ALPHA):
-        return -2.0 * np.sin(th) ** 2 * np.sin(2 * be)
+        return -2.0 * np.sin(theta) ** 2 * np.sin(2 * beta)
     if (i, j) == (_THETA, _GAMMA):
-        return np.sin(2 * th)
-    return np.zeros(len(points))
+        return np.sin(2 * theta)
+    return 0.0

@@ -167,12 +167,9 @@ def gamma_circle(samples_per_segment):
 def stokes_rectangle(base, bounds, samples, samples_per_segment) -> float:
     """|curvature surface integral - connection boundary integral| over the
     rectangle ``bounds = ((theta0, theta1), (gamma0, gamma1))`` through base."""
-    (t0, t1), (g0, g1) = bounds
     surface = phase.phase_curvature(base, ("theta", "gamma"), bounds, samples=samples)
-    corners = np.tile(np.asarray(base, dtype=float), (5, 1))
-    corners[:, 3] = (t0, t1, t1, t0, t0)
-    corners[:, 2] = (g0, g0, g1, g1, g0)
-    loop = phase.LoopSpec(corners, samples_per_segment=samples_per_segment)
+    loop = phase.LoopSpec(phase._rectangle_corners(base, ("theta", "gamma"), bounds),
+                          samples_per_segment=samples_per_segment)
     return abs(surface - phase.phase_connection(loop))
 
 

@@ -27,3 +27,6 @@ def test_removed_options_stay_removed():
     assert params(su3kit.closed_form_comparison) == [("seed", 0)]
     assert params(su3kit.EulerAngles.is_canonical) == [("self", none)]
     assert params(su3kit.LoopSpec) == [("waypoints", none), ("samples_per_segment", 256)]
+    # the benchmark tracer's WORK_UNITS entry for phase_curvature mirrors this
+    assert params(su3kit.phase_curvature) == [("base", none), ("axes", none), ("bounds", none),
+                                              ("samples", (1024, 1024))]

@@ -177,6 +177,34 @@ def test_phase_curvature_reversed_orientation_negates(tmp_path, capsys):
     assert cw == pytest.approx(boundary, abs=1e-5, rel=0)
 
 
+_RECT_BASE = [0.3, 0.4, 0, 0, 0.5, 0.6, 0.7, 0.8]
+
+
+def _theta_gamma_loop(corners):
+    """Waypoints through _RECT_BASE at the given (theta, gamma) corners."""
+    return [_RECT_BASE[:2] + [ga, th] + _RECT_BASE[4:] for th, ga in corners]
+
+
+@pytest.mark.parametrize("corners", [
+    # trapezoid: the connection route gives 0.8756
+    [(0.2, 0.3), (1.0, 0.3), (1.0, 2.1), (0.2, 1.0), (0.2, 0.3)],
+    # bowtie: the connection route gives 0.0
+    [(0.2, 0.3), (1.0, 0.3), (0.2, 2.1), (1.0, 2.1), (0.2, 0.3)],
+    # first edge moves theta and gamma together
+    [(0.2, 0.3), (1.0, 1.0), (1.0, 2.1), (0.2, 2.1), (0.2, 0.3)],
+    # a rectangle whose last waypoint is the first one wound once in gamma
+    [(0.2, 0.3), (1.0, 0.3), (1.0, 2.1), (0.2, 2.1), (0.2, 0.3 + 2 * np.pi)],
+], ids=["trapezoid", "bowtie", "two-coordinate-edge", "gamma-winding"])
+def test_phase_curvature_refuses_loops_that_are_not_rectangles(tmp_path, capsys, corners):
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps({"waypoints": _theta_gamma_loop(corners),
+                                     "samples_per_segment": 512}))
+    code, _, _ = run_cli(capsys, "phase", "--loop", str(loop_file), "--method", "connection")
+    assert code == 0                    # a valid closed loop for the line integral
+    code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file), "--method", "curvature")
+    assert code == 2 and out == "" and "rectangle" in err
+
+
 def test_phase_open_loop_exit_2(tmp_path, capsys):
     loop_file = tmp_path / "open.json"
     loop_file.write_text(json.dumps({

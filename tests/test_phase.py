@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -176,11 +179,65 @@ def test_curvature_rectangle_closed_form():
     assert zero == 0.0
 
 
+def test_curvature_rectangles_carrying_beta_closed_form():
+    t0, t1, b0, b1, a0, a1 = 0.2, 1.1, 0.3, 0.9, 0.4, 2.0
+    base = np.array([0.0, 0.5, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
+    got = phase.phase_curvature(base, ("theta", "alpha"), ((t0, t1), (a0, a1)),
+                                samples=(4096, 4))
+    want = (np.cos(2 * t0) - np.cos(2 * t1)) / 2 * np.cos(2 * base[1]) * (a1 - a0)
+    assert got == pytest.approx(want, abs=1e-6, rel=0)
+    got = phase.phase_curvature(base, ("beta", "alpha"), ((b0, b1), (a0, a1)),
+                                samples=(4096, 4))
+    want = -np.sin(base[3]) ** 2 * (np.cos(2 * b0) - np.cos(2 * b1)) * (a1 - a0)
+    assert got == pytest.approx(want, abs=1e-6, rel=0)
+
+
 @pytest.mark.parametrize("samples", [(0, 64), (64, 0), (-1, 1)])
 def test_curvature_rejects_fewer_than_one_sample(samples):
     with pytest.raises(ValueError, match="samples"):
         phase.phase_curvature(np.zeros(8), ("theta", "gamma"),
                               ((0.1, 0.7), (0.2, 1.4)), samples=samples)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("samples", (2.5, 4)),
+    ("samples", (4, True)),
+    ("axes", ("theta", "theta")),
+    ("axes", (3, "theta")),
+    ("axes", (3.7, "gamma")),
+    ("axes", ("theta", True)),
+    ("axes", ("theta", 8)),
+    ("axes", ("theta", "psi")),
+    ("bounds", ((0.1, np.nan), (0.2, 1.4))),
+    ("bounds", ((0.1, 0.7), (-np.inf, 1.4))),
+])
+def test_curvature_refuses_bad_arguments(argument, value):
+    args = {"base": np.zeros(8), "axes": ("theta", "gamma"),
+            "bounds": ((0.1, 0.7), (0.2, 1.4)), "samples": (8, 8), argument: value}
+    with pytest.raises(ValueError, match=argument):
+        phase.phase_curvature(**args)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_curvature_keeps_peak_memory_low():
+    # the curvature is evaluated on the two rectangle axes only; an
+    # (nx + 1)(ny + 1) x 8 grid of chart points would grow the peak by 67 MB
+    code = """
+import numpy as np
+from su3kit import phase
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+base = np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8])
+phase.phase_curvature(base, ("theta", "gamma"), ((0.2, 1.0), (0.3, 2.1)), samples=(4, 4))
+before = peak_kib()
+phase.phase_curvature(base, ("theta", "gamma"), ((0.2, 1.0), (0.3, 2.1)), samples=(1024, 1024))
+print(peak_kib() - before)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 16 * 1024
 
 
 def test_phase_orientation_reversal():
