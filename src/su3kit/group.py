@@ -96,6 +96,14 @@ def _haar_density(beta, theta, b):
     return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
 
 
+def _check_count(n, name: str, least: int = 1) -> None:
+    """Raise ValueError unless n is an integer >= least (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"need {name} >= {least}")
+
+
 def _check_finite(p: np.ndarray) -> None:
     """Raise ValueError if a chart point, or any row of an (n, 8) batch of
     them, holds a NaN or an infinity; for a batch, name the first bad row."""

@@ -10,12 +10,15 @@ Haar measure (chart density sin(2 beta) sin(2 b) sin(2 theta) sin^2 theta).
 Correctness is enforced by the orthogonality-relation and translation
 invariance tests rather than assumed.
 
-Sampling uses a counter-based Philox stream keyed by the seed, so any
-``_CHUNK``-row chunk of a draw can start on its own.  Every estimate is
-accumulated over the same chunks in a fixed order, so results are
-bit-identical for a fixed (seed, n) whether :func:`volume_mc_estimate` and
-:func:`orthogonality_suite` run on one thread or two.  :func:`integrate`
-stays on one thread, because the function it calls need not be thread-safe.
+Sampling uses a counter-based Philox stream keyed by the seed, so any row
+of a draw can start a stream of its own.  Each estimate holds O(``_CHUNK``)
+rows per thread whatever n: every ``_CHUNK``-row chunk (``_SPAN``-row span
+in :func:`integrate`) is reduced to sums, or to its count, mean and sum of
+squared deviations, and the chunk results are merged in chunk order, so
+results are bit-identical for a fixed (seed, n) whether
+:func:`volume_mc_estimate` and :func:`orthogonality_suite` run on one
+thread or two.  :func:`integrate` stays on one thread, because the function
+it calls need not be thread-safe.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ANGLE_NAMES, CANONICAL_HIGH, PHI_PERIOD, _haar_density, compose_batch
+from .group import (ANGLE_NAMES, CANONICAL_HIGH, PHI_PERIOD, _check_count, _haar_density,
+                    compose_batch)
 
 _CHUNK = 1 << 14
-_SPAN = 1 << 11           # rows per compose_batch call in orthogonality_suite
+_SPAN = 1 << 11           # rows per compose_batch call
 _SCALE = np.where([0, 1, 0, 1, 0, 1, 0, 0], 1.0, CANONICAL_HIGH)  # 1: arcsin columns
 
 # Ranges as published for this chart; the product of the eight 1-D integrals
@@ -76,9 +80,32 @@ def sample_haar(seed: int, n: int) -> np.ndarray:
     Deterministic for a fixed seed.  Columns follow
     ``su3kit.group.ANGLE_NAMES``; all values are in the canonical ranges.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    _check_count(n, "n")
     return _angles(_stream(seed, 0).random((n, 8)))
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """(count, mean, sum of |x - mean|^2) of a 1-D chunk of real or complex
+    values.  Reduced by ufuncs: OpenBLAS may thread a dot product of rows
+    this long, and two estimate threads then contend for the CPUs."""
+    mean = x.sum() / len(x)
+    d = x - mean
+    if np.iscomplexobj(d):
+        d = d.view(float)               # the real and imaginary parts in turn
+    return len(x), mean, np.multiply(d, d, out=d).sum()
+
+
+def _merged(moments) -> tuple:
+    """(count, mean, sum of squared deviations) of chunks together, from each
+    chunk's :func:`_moments`, merged in chunk order by the pairwise update of
+    Chan, Golub & LeVeque (1983)."""
+    n, mean, m2 = moments[0]
+    for k, mean_k, m2_k in moments[1:]:
+        delta = mean_k - mean
+        mean = mean + delta * (k / (n + k))
+        m2 = m2 + m2_k + (delta * np.conj(delta)).real * (n * k / (n + k))
+        n += k
+    return n, mean, m2
 
 
 def dump_csv(samples: np.ndarray, path_or_file) -> None:
@@ -111,20 +138,24 @@ def integrate(f, n: int, seed: int = 0) -> IntegrationResult:
         Sample count, at least 2 for a standard error.
     seed : int
         Philox key; fixed (seed, n) gives bit-identical results.
+
+    f is called on one ``_SPAN``-row span of the draw at a time, and each
+    span's values are reduced to their :func:`_moments` before the next is
+    drawn, so neither the group elements of a whole chunk nor compose_batch's
+    temporaries for them are held.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples for a standard error")
-    values = np.empty(n, dtype=complex)
-    buf = np.empty((min(n, _CHUNK), 8))
-    for start in range(0, n, _CHUNK):
-        angles = _angles(_stream(seed, start).random(out=buf[:min(_CHUNK, n - start)]))
-        values[start:start + len(angles)] = f(compose_batch(angles))
-    mean = values.mean()
-    var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-    se = float(np.sqrt(var / n))
-    if np.abs(values.imag).max(initial=0.0) == 0.0:
-        mean = mean.real
-    return IntegrationResult(estimate=mean, std_error=se, n_samples=n, seed=seed)
+    _check_count(n, "n", 2)
+    moments, real = [], True
+    buf = np.empty((min(n, _SPAN), 8))
+    for start in range(0, n, _SPAN):
+        angles = _angles(_stream(seed, start).random(out=buf[:min(_SPAN, n - start)]))
+        values = np.broadcast_to(f(compose_batch(angles)), len(angles))
+        real = real and not (np.iscomplexobj(values) and values.imag.any())
+        moments.append(_moments(values))
+    _, mean, m2 = _merged(moments)
+    se = float(np.sqrt(m2 / (n - 1) / n))
+    return IntegrationResult(estimate=mean.real if real else mean, std_error=se,
+                             n_samples=n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -181,22 +212,23 @@ def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
 def _start_orthogonality(n: int, seed: int) -> _Chunks:
     """:func:`orthogonality_suite` begun: a helper thread may start on its
     chunks now, and ``join()`` returns the report (see :class:`_Chunks`)."""
-    if n < 2:
-        raise ValueError("need n >= 2 samples for a standard error")
+    _check_count(n, "n", 2)
     m = min(n, _CHUNK)
 
     def scratch():
-        # uniforms, the real and imaginary parts of the nine entries, and two
-        # rows for the pair products
-        return np.empty((m, 8)), np.empty((9, m)), np.empty((9, m)), np.empty(m), np.empty(m)
+        # one span's uniforms, the real and imaginary parts of the nine
+        # entries, and two rows for the pair products
+        return (np.empty((min(m, _SPAN), 8)), np.empty((9, m)), np.empty((9, m)),
+                np.empty(m), np.empty(m))
 
     def chunk_sums(start, stop, ws):
         k = stop - start
-        u, re, im, a, b = ws[0][:k], *(x[..., :k] for x in ws[1:])
-        angles = _angles(_stream(seed, start).random(out=u))
-        # spans this short keep compose_batch's temporaries in cache
+        u, re, im, a, b = ws[0], *(x[..., :k] for x in ws[1:])
+        # spans this short keep compose_batch's temporaries in cache; each
+        # draws from its own stream, which continues the chunk's row for row
         for lo in range(0, k, _SPAN):
-            flat = compose_batch(angles[lo:lo + _SPAN]).reshape(-1, 9).T
+            angles = _angles(_stream(seed, start + lo).random(out=u[:min(_SPAN, k - lo)]))
+            flat = compose_batch(angles).reshape(-1, 9).T
             re[:, lo:lo + _SPAN], im[:, lo:lo + _SPAN] = flat.real, flat.imag
         s = np.zeros((4, 9, 9))         # s_re, s_im, s2_re, s2_im
         for p in range(9):
@@ -263,7 +295,7 @@ class _Chunks:
     in :meth:`join`, so it is not held while the helper runs alone.
     """
 
-    def __init__(self, n: int, step, scratch, finish=list):
+    def __init__(self, n: int, step, scratch, finish):
         self._n, self._step, self._scratch, self._finish = n, step, scratch, finish
         self._starts = range(0, n, _CHUNK)
         self._results = [None] * len(self._starts)
@@ -314,21 +346,19 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
 
     Uniform samples over the reference box times the density value; the mean
     times the box's Lebesgue volume estimates the closed form
-    :func:`total_volume`.  Serves as the quadrature cross-check.  The
-    chunks run on one thread or two with the same bits (see
-    :class:`_Chunks`).
+    :func:`total_volume`.  Serves as the quadrature cross-check.  Each
+    chunk's densities are reduced to their :func:`_moments`, which are
+    merged in chunk order, so the chunks run on one thread or two with the
+    same bits (see :class:`_Chunks`).
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples for a standard error")
-    dens = np.empty(n)
+    _check_count(n, "n", 2)
 
-    def fill(start, stop, buf):
+    def chunk_moments(start, stop, buf):
         u = _stream(seed, start).random(out=buf[:stop - start])
         # only beta, theta and b enter the density
-        dens[start:stop] = _haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5)))
+        return _moments(_haar_density(*(u[:, j] * REFERENCE_BOX_HIGH[j] for j in (1, 3, 5))))
 
-    _Chunks(n, fill, lambda: np.empty((min(n, _CHUNK), 8))).join()
+    _, mean, m2 = _Chunks(n, chunk_moments, lambda: np.empty((min(n, _CHUNK), 8)),
+                          _merged).join()
     box = float(np.prod(REFERENCE_BOX_HIGH))
-    est = box * dens.mean()
-    se = box * dens.std(ddof=1) / np.sqrt(n)
-    return float(est), float(se)
+    return float(box * mean), float(box * np.sqrt(m2 / (n - 1)) / np.sqrt(n))

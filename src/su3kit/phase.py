@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT3
-from .group import ANGLE_NAMES, _angles_array, _check_finite, compose_batch
+from .group import ANGLE_NAMES, _angles_array, _check_count, _check_finite, compose_batch
 
 # chart coordinate indices
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
@@ -109,7 +109,11 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     unless ``include_dphi`` (it cancels exactly on chart-closed loops).
     Not reduced modulo 2 pi.
     """
-    pts = loop.sample_points()
+    return _line_integral(loop.sample_points(), include_dphi)
+
+
+def _line_integral(pts: np.ndarray, include_dphi: bool) -> float:
+    """:func:`phase_connection` over a loop's sample points."""
     cov = _connection(pts, include_dphi)
     # integrand at t_k is cov . dp/dt; dp is constant per sampling step
     steps = pts[1:] - pts[:-1]
@@ -128,7 +132,11 @@ def phase_pancharatnam(loop: LoopSpec) -> float:
     Multiplying the chain by any smooth single-valued phase leaves the
     result unchanged.
     """
-    pts = loop.sample_points()
+    return _chain_phase(loop.sample_points())
+
+
+def _chain_phase(pts: np.ndarray) -> float:
+    """:func:`phase_pancharatnam` over a loop's sample points."""
     psi = compose_batch(pts)[:, :, 2]
     total = overlap_chain_phase(psi)
     dphi_term = _DPHI * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
@@ -171,7 +179,8 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
 
     Matches :func:`phase_connection` of the boundary loop
     ``_rectangle_corners(base, axes, bounds)``.  The curvature depends on
-    theta and beta alone, so it is evaluated on the two axes only.
+    theta and beta alone, and each nonzero component on at most one of the
+    two axes, so it is evaluated on that axis only: O(nx + ny) work.
     """
     i, j = (_axis_index(ax) for ax in axes)
     if i == j:
@@ -185,9 +194,14 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     point = list(_angles_array(base))
     xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
     point[i], point[j] = xs[:, None], ys[None, :]
-    f = np.broadcast_to(_curvature_component(point[_THETA], point[_BETA], i, j),
-                        (xs.size, ys.size))
-    return float(_trapezoid_weights(xs) @ f @ _trapezoid_weights(ys))
+    f = np.atleast_2d(_curvature_component(point[_THETA], point[_BETA], i, j))
+    wx, wy = _trapezoid_weights(xs), _trapezoid_weights(ys)
+    # an axis the component does not vary along contributes its summed weights
+    if f.shape[0] == 1:
+        wx = wx.sum(keepdims=True)
+    if f.shape[1] == 1:
+        wy = wy.sum(keepdims=True)
+    return float(wx @ f @ wy)
 
 
 def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:
@@ -199,14 +213,6 @@ def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:
     corners[:, i] = (x0, x1, x1, x0, x0)
     corners[:, j] = (y0, y0, y1, y1, y0)
     return corners
-
-
-def _check_count(n, name: str) -> None:
-    """Raise ValueError unless n is an integer >= 1 (a bool is not one)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 def _axis_index(ax) -> int:

@@ -159,9 +159,9 @@ def gamma_circle(samples_per_segment):
     w = np.zeros((2, 8))
     w[:, 3] = np.pi / 4
     w[1, 2] = 2 * np.pi
-    loop = phase.LoopSpec(w, samples_per_segment=samples_per_segment)
-    return (abs(phase.phase_connection(loop) - np.pi),
-            abs(phase.phase_pancharatnam(loop) - np.pi))
+    pts = phase.LoopSpec(w, samples_per_segment=samples_per_segment).sample_points()
+    return (abs(phase._line_integral(pts, include_dphi=False) - np.pi),
+            abs(phase._chain_phase(pts) - np.pi))
 
 
 def stokes_rectangle(base, bounds, samples, samples_per_segment) -> float:

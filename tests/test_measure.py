@@ -185,11 +185,41 @@ def test_csv_round_trip_and_determinism():
 def test_sample_haar_rejects_bad_n():
     with pytest.raises(ValueError):
         measure.sample_haar(0, 0)
-    for fn in (measure.orthogonality_suite, measure.volume_mc_estimate,
-               lambda n: measure.integrate(lambda d: d[:, 0, 0], n)):
+    estimates = (measure.orthogonality_suite, measure.volume_mc_estimate,
+                 lambda n: measure.integrate(lambda d: d[:, 0, 0], n))
+    for fn in estimates:
         for n in (0, 1):                # a standard error needs two samples
             with pytest.raises(ValueError, match="n >= 2"):
                 fn(n)
+    for fn in (lambda n: measure.sample_haar(0, n),) + estimates:
+        for n in (2.5, 3.0, np.float64(4.0), "5"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                fn(n)
+
+
+@pytest.mark.parametrize("n", (3 * measure._CHUNK + 5, 10**6))
+def test_estimates_agree_with_moments_of_all_values(monkeypatch, n):
+    # the merged chunk moments against numpy's two-pass mean and std of every
+    # value an estimate reduced, recorded in chunk order on one thread
+    monkeypatch.setattr(measure, "_usable_cpus", lambda: 1)
+    recorded = []
+
+    def record(values):
+        recorded.append(values)
+        return values
+
+    density = measure._haar_density
+    monkeypatch.setattr(measure, "_haar_density", lambda *args: record(density(*args)))
+    est, se = measure.volume_mc_estimate(n, seed=3)
+    dens = np.concatenate(recorded) * np.prod(measure.REFERENCE_BOX_HIGH)
+    assert est == pytest.approx(dens.mean(), rel=1e-14, abs=0)
+    assert se == pytest.approx(dens.std(ddof=1) / np.sqrt(n), rel=1e-14, abs=0)
+
+    recorded.clear()
+    res = measure.integrate(lambda d: record(1 + 1j + d[:, 0, 0]), n, seed=4)
+    values = np.concatenate(recorded)
+    assert res.estimate == pytest.approx(values.mean(), rel=1e-14, abs=0)
+    assert res.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(n), rel=1e-14, abs=0)
 
 
 # Serial oracles: one (n, 8) Philox draw, then the sampler's and the
@@ -204,8 +234,19 @@ def _volume_oracle(n, seed):
     beta, theta, b = (u[:, j] * measure.REFERENCE_BOX_HIGH[j] for j in (1, 3, 5))
     s = np.sin(theta)
     dens = np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * (s * s)
+    # each chunk's mean and squared deviations, merged into the running ones
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, measure._CHUNK):
+        d = dens[start:start + measure._CHUNK]
+        k = len(d)
+        mean_k = d.sum() / k
+        dev = d - mean_k
+        delta = mean_k - mean
+        mean += delta * (k / (count + k))
+        m2 += (dev * dev).sum() + delta * delta * (count * k / (count + k))
+        count += k
     box = float(np.prod(measure.REFERENCE_BOX_HIGH))
-    return float(box * dens.mean()), float(box * dens.std(ddof=1) / np.sqrt(n))
+    return float(box * mean), float(box * np.sqrt(m2 / (n - 1)) / np.sqrt(n))
 
 
 def _orthogonality_oracle(n, seed):
@@ -305,9 +346,10 @@ def test_caller_computes_every_chunk_while_the_helper_is_held_back(monkeypatch, 
     stream = measure._stream
 
     def recording_stream(seed, start):
-        computed_by[start] = threading.current_thread()
-        if computed_by.keys() == starts:
-            held_back_helper.set()
+        if start in starts:             # an orthogonality span starts a stream of its own
+            computed_by[start] = threading.current_thread()
+            if computed_by.keys() == starts:
+                held_back_helper.set()
         return stream(seed, start)
 
     monkeypatch.setattr(measure, "_usable_cpus", lambda: 2)
@@ -320,13 +362,7 @@ def test_caller_computes_every_chunk_while_the_helper_is_held_back(monkeypatch, 
     assert _equals_serial_oracle(estimator, result, n, n)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_two_thread_orthogonality_suite_keeps_peak_memory_low():
-    # the helper composes short spans in workspace the caller allocated; whole
-    # chunks composed on the helper leave their temporaries in its malloc
-    # arena and grow the peak by ~17 MB.  A child's ru_maxrss starts at its
-    # parent's peak on Linux, so the child reads its own high-water mark.
-    code = """
+PEAK_GROWTH = """
 from su3kit import measure
 
 def peak_kib():
@@ -334,13 +370,38 @@ def peak_kib():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 measure._usable_cpus = lambda: 2
-measure.orthogonality_suite(2)      # load the sampler and the kernels first
+{warm_up}                           # load the sampler and the kernels first
 before = peak_kib()
-measure.orthogonality_suite(100_000)
+{call}
 print(peak_kib() - before)
 """
+
+
+def peak_growth_kib(call: str, n: int) -> int:
+    """How far ``call.format(n)``, run in a child process on two threads,
+    raises the child's peak memory over the same call at n = 2.  A child's
+    ru_maxrss starts at its parent's peak on Linux, so the child reads its
+    own high-water mark."""
+    code = PEAK_GROWTH.format(warm_up=call.format(2), call=call.format(n))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 12 * 1024
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_two_thread_orthogonality_suite_keeps_peak_memory_low():
+    # the helper composes short spans in workspace the caller allocated; whole
+    # chunks composed on the helper leave their temporaries in its malloc
+    # arena and grow the peak by ~17 MB
+    assert peak_growth_kib("measure.orthogonality_suite({})", 100_000) < 12 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("call, n", [("measure.volume_mc_estimate({})", 4 * 10**6),
+                                     ("measure.integrate(lambda d: d[:, 0, 0], {})", 10**6)])
+def test_estimates_keep_peak_memory_independent_of_n(call, n):
+    # each chunk is reduced to its moments before the next is drawn; holding
+    # every value grew the peak by 63 MB (volume) and 24 MB (integrate)
+    assert peak_growth_kib(call, n) < 8 * 1024
 
 
 def test_import_does_not_load_the_thread_pool():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from su3kit import phase, states, verify
-from su3kit.group import compose_batch
+from su3kit.group import ANGLE_NAMES, compose_batch
 from su3kit.measure import sample_haar
 
 from oracles import central_difference
@@ -141,6 +141,10 @@ def test_gamma_circle_closed_form():
     conn, panch = verify.gamma_circle(10_000)
     assert conn <= 1e-6
     assert panch <= 1e-4
+    # verify samples the circle once for both routes, with the public calls' bits
+    loop = gamma_circle(samples=10_000)
+    assert (conn, panch) == (abs(phase.phase_connection(loop) - np.pi),
+                             abs(phase.phase_pancharatnam(loop) - np.pi))
 
 
 def test_include_dphi_changes_nothing_on_closed_loops():
@@ -190,6 +194,29 @@ def test_curvature_rectangles_carrying_beta_closed_form():
                                 samples=(4096, 4))
     want = -np.sin(base[3]) ** 2 * (np.cos(2 * b0) - np.cos(2 * b1)) * (a1 - a0)
     assert got == pytest.approx(want, abs=1e-6, rel=0)
+
+
+@pytest.mark.parametrize("axes", [("theta", "gamma"), ("theta", "alpha"), ("beta", "alpha"),
+                                  ("gamma", "theta"), ("alpha", "beta"), ("beta", "theta")])
+def test_curvature_equals_the_tensor_product_trapezoid(axes):
+    # phase_curvature sums the weights of an axis the component does not
+    # vary along; the full grid sum of the pointwise two-form is the reference
+    base = np.array([0.3, 0.4, 0.5, 0.7, 0.5, 0.6, 0.7, 0.8])
+    bounds, (nx, ny) = ((0.2, 1.1), (0.3, 0.9)), (37, 23)
+    i, j = (ANGLE_NAMES.index(ax) for ax in axes)
+    nodes = []                          # (coordinate, trapezoid weight) per axis
+    for (lo, hi), n in zip(bounds, (nx, ny)):
+        w = np.full(n + 1, (hi - lo) / n)
+        w[[0, -1]] /= 2
+        nodes.append(list(zip(np.linspace(lo, hi, n + 1), w)))
+    want = 0.0
+    for x, w_x in nodes[0]:
+        for y, w_y in nodes[1]:
+            p = base.copy()
+            p[i], p[j] = x, y
+            want += w_x * w_y * phase.curvature(p)[i, j]
+    got = phase.phase_curvature(base, axes, bounds, samples=(nx, ny))
+    assert got == pytest.approx(want, abs=1e-14, rel=1e-14)
 
 
 @pytest.mark.parametrize("samples", [(0, 64), (64, 0), (-1, 1)])
