@@ -296,8 +296,10 @@ def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
 
     An (n, 3, 3) stack is checked matrix by matrix, and the message names
     the first bad row.  A NaN residual fails, as does any other that is not
-    within tol.
+    within tol.  A tol that is not finite and >= 0 raises ValueError.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     u = np.asarray(u, dtype=complex)
     where = ""
     if u.ndim == 3:
@@ -380,7 +382,8 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     u : (3, 3) array_like, or an (n, 3, 3) stack
         Matrix satisfying the SU(3) invariants within ``tol``.
     tol : float
-        Admission tolerance for unitarity / determinant of the input.
+        Admission tolerance for unitarity / determinant of the input;
+        finite and >= 0.
 
     Magnitudes at or below 1e-12 are treated as exact zeros; the affected
     angles are gauge on the corresponding degenerate stratum, get folded

@@ -13,8 +13,8 @@ invariance tests rather than assumed.
 Sampling uses a counter-based Philox stream keyed by the seed, so any row
 of a draw can start a stream of its own.  Each estimate holds O(``_CHUNK``)
 rows per thread whatever n: every ``_CHUNK``-row chunk (``_SPAN``-row span
-in :func:`integrate`) is reduced to sums, or to its count, mean and sum of
-squared deviations, and the chunk results are merged in chunk order, so
+in :func:`integrate`) is reduced to its count, mean and sum of squared
+deviations, and these are merged in chunk order (:func:`_merged`), so
 results are bit-identical for a fixed (seed, n) whether
 :func:`volume_mc_estimate` and :func:`orthogonality_suite` run on one
 thread or two.  :func:`integrate` stays on one thread, because the function
@@ -97,8 +97,9 @@ def _moments(x: np.ndarray) -> tuple:
 
 def _merged(moments) -> tuple:
     """(count, mean, sum of squared deviations) of chunks together, from each
-    chunk's :func:`_moments`, merged in chunk order by the pairwise update of
-    Chan, Golub & LeVeque (1983)."""
+    chunk's triple (see :func:`_moments`), merged in chunk order by the
+    pairwise update of Chan, Golub & LeVeque (1983).  Means and sums may be
+    arrays, merged entry by entry."""
     n, mean, m2 = moments[0]
     for k, mean_k, m2_k in moments[1:]:
         delta = mean_k - mean
@@ -197,14 +198,20 @@ class OrthogonalityReport:
 def orthogonality_suite(n: int, seed: int = 0) -> OrthogonalityReport:
     """Estimate all 81 fundamental-representation orthogonality integrals.
 
-    With the nine entries of D flattened to D_p, only the 45 products
-    D_p conj(D_q) with p <= q are summed; the rest are their exact complex
-    conjugates.  The diagonal |D_p|^2 is summed as a real number, so its
-    imaginary part and standard error are exactly 0.
+    With the nine entries of D flattened to D_p and x_pq = D_p conj(D_q),
+    each ``_SPAN``-row span adds three Gram products of its rows: of the
+    real and imaginary parts of D_p, which give the sums of Re x_pq and
+    Im x_pq; of |D_p|^2; and of the parts of D_p^2.  Since
+    (Re x)^2 +- (Im x)^2 = |D_p|^2 |D_q|^2 and Re(D_p^2 conj(D_q)^2), the
+    last two give the sums of (Re x_pq)^2 and (Im x_pq)^2.  Each Gram
+    product is exactly symmetric, so the report is exactly Hermitian, and
+    the |D_p|^2 entries have an imaginary part and standard error of
+    exactly 0.
 
-    The sums of each ``_CHUNK``-row chunk are added in chunk order, so the
-    report is bit-identical whether the chunks run on one thread or two
-    (see :class:`_Chunks`).
+    Each ``_CHUNK``-row chunk is reduced to its count, mean and sum of
+    squared deviations, and these are merged in chunk order, so the report
+    is bit-identical whether the chunks run on one thread or two (see
+    :class:`_Chunks`).
     """
     return _start_orthogonality(n, seed).join()
 
@@ -213,55 +220,40 @@ def _start_orthogonality(n: int, seed: int) -> _Chunks:
     """:func:`orthogonality_suite` begun: a helper thread may start on its
     chunks now, and ``join()`` returns the report (see :class:`_Chunks`)."""
     _check_count(n, "n", 2)
-    m = min(n, _CHUNK)
 
-    def scratch():
-        # one span's uniforms, the real and imaginary parts of the nine
-        # entries, and two rows for the pair products
-        return (np.empty((min(m, _SPAN), 8)), np.empty((9, m)), np.empty((9, m)),
-                np.empty(m), np.empty(m))
-
-    def chunk_sums(start, stop, ws):
+    def chunk_moments(start, stop, u):
+        re_im, squares, abs2 = np.zeros((18, 18)), np.zeros((18, 18)), np.zeros((9, 9))
+        # spans this short keep compose_batch's temporaries in cache, and
+        # OpenBLAS on one thread; each span draws from its own stream, which
+        # continues the chunk's row for row
+        for lo in range(start, stop, _SPAN):
+            angles = _angles(_stream(seed, lo).random(out=u[:min(_SPAN, stop - lo)]))
+            d = compose_batch(angles).reshape(-1, 9)
+            r, g = d.view(float), (d * d).view(float)     # Re, Im of D_p, then of D_p^2
+            a = r[:, ::2] ** 2 + r[:, 1::2] ** 2           # |D_p|^2
+            # np.dot of an array's transpose and itself is a BLAS syrk whose
+            # triangle numpy mirrors, so each sum is exactly symmetric; unlike
+            # matmul of two matrices, np.dot releases the interpreter lock
+            re_im += np.dot(r.T, r)
+            squares += np.dot(g.T, g)
+            abs2 += np.dot(a.T, a)
         k = stop - start
-        u, re, im, a, b = ws[0], *(x[..., :k] for x in ws[1:])
-        # spans this short keep compose_batch's temporaries in cache; each
-        # draws from its own stream, which continues the chunk's row for row
-        for lo in range(0, k, _SPAN):
-            angles = _angles(_stream(seed, start + lo).random(out=u[:min(_SPAN, k - lo)]))
-            flat = compose_batch(angles).reshape(-1, 9).T
-            re[:, lo:lo + _SPAN], im[:, lo:lo + _SPAN] = flat.real, flat.imag
-        s = np.zeros((4, 9, 9))         # s_re, s_im, s2_re, s2_im
-        for p in range(9):
-            np.add(np.multiply(re[p], re[p], out=a), np.multiply(im[p], im[p], out=b), out=a)
-            s[0, p, p] = a.sum()
-            s[2, p, p] = np.multiply(a, a, out=b).sum()
-            for q in range(p + 1, 9):
-                np.add(np.multiply(re[p], re[q], out=a), np.multiply(im[p], im[q], out=b), out=a)
-                s[0, p, q] = a.sum()
-                s[2, p, q] = np.multiply(a, a, out=b).sum()
-                np.subtract(np.multiply(im[p], re[q], out=a), np.multiply(re[p], im[q], out=b),
-                            out=a)
-                s[1, p, q] = a.sum()
-                s[3, p, q] = np.multiply(a, a, out=b).sum()
-        return s
+        mean = np.stack([re_im[::2, ::2] + re_im[1::2, 1::2],
+                         re_im[1::2, ::2] - re_im[::2, 1::2]]) / k
+        cross = squares[::2, ::2] + squares[1::2, 1::2]
+        # Re(D_p^2 conj(D_p^2)) = |D_p|^4: taken from abs2, so that the
+        # (Im x_pp)^2, each exactly 0, sum to exactly 0
+        np.fill_diagonal(cross, abs2.diagonal())
+        return k, mean, np.stack([abs2 + cross, abs2 - cross]) / 2 - k * mean * mean
 
-    def report(sums):
-        # one running sum in chunk order, as on one thread
-        s_re, s_im, s2_re, s2_im = sum(sums, np.zeros((4, 9, 9)))
-        upper = np.triu_indices(9, 1)
-        lower = upper[::-1]
-        s_re[lower], s_im[lower] = s_re[upper], -s_im[upper]
-        s2_re[lower], s2_im[lower] = s2_re[upper], s2_im[upper]
-        est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
-        s2_re, s2_im = s2_re.reshape(3, 3, 3, 3), s2_im.reshape(3, 3, 3, 3)
-        var_re = np.maximum(s2_re / n - est.real ** 2, 0.0) * n / (n - 1)
-        var_im = np.maximum(s2_im / n - est.imag ** 2, 0.0) * n / (n - 1)
-        return OrthogonalityReport(estimates=est,
-                                   std_error_re=np.sqrt(var_re / n),
-                                   std_error_im=np.sqrt(var_im / n),
+    def report(moments):
+        _, mean, m2 = _merged(moments)
+        se_re, se_im = np.sqrt(m2 / (n - 1) / n).reshape(2, 3, 3, 3, 3)
+        return OrthogonalityReport(estimates=(mean[0] + 1j * mean[1]).reshape(3, 3, 3, 3),
+                                   std_error_re=se_re, std_error_im=se_im,
                                    n_samples=n, seed=seed)
 
-    return _Chunks(n, chunk_sums, scratch, report)
+    return _Chunks(n, chunk_moments, lambda: np.empty((min(n, _SPAN), 8)), report)
 
 
 def _usable_cpus() -> int:

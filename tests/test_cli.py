@@ -74,6 +74,14 @@ def test_decompose_rejects_non_unitary_exit_2(tmp_path, capsys):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_decompose_tolerance_not_finite_and_non_negative_exit_2(tmp_path, capsys, tol):
+    matrix_file = tmp_path / "u.json"
+    matrix_file.write_text(json.dumps(cli.matrix_to_json(np.diag([2.0, 1.0, 0.5]))))
+    code, out, err = run_cli(capsys, "decompose", "--matrix", str(matrix_file), "--tol", tol)
+    assert code == 2 and out == "" and "tol must be finite" in err
+
+
 def test_decompose_missing_file_exit_3(capsys):
     code, _, err = run_cli(capsys, "decompose", "--matrix", "/nonexistent/u.json")
     assert code == 3

@@ -287,6 +287,16 @@ def test_decompose_rejects_non_unitary_input():
         decompose(bad)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_decompose_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # an infinite tol would admit diag(2, 1, 0.5) and answer it as the identity
+    for u in (np.diag([2.0, 1.0, 0.5]), group.random_su3(3, np.random.default_rng(17))):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            decompose(u, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            group.assert_group_element(u, tol)
+
+
 # period of each chart coordinate; None for beta, theta and b, which are not periodic
 PERIODS = (np.pi, None, 2 * np.pi, None, np.pi, None, 2 * np.pi, SQ3 * np.pi)
 

@@ -81,13 +81,15 @@ def test_orthogonality_suite_all_81_within_4_sigma():
 
 
 def test_orthogonality_suite_matches_all_81_products():
-    n, seed = 2000, 8
-    report = measure.orthogonality_suite(n, seed=seed)
-    d = compose_batch(measure.sample_haar(seed, n))
-    prod = np.einsum('mij,mkl->mijkl', d, d.conj())
-    np.testing.assert_allclose(report.estimates, prod.mean(axis=0), rtol=0, atol=1e-14)
-    for se, part in ((report.std_error_re, prod.real), (report.std_error_im, prod.imag)):
-        np.testing.assert_allclose(se, part.std(axis=0, ddof=1) / np.sqrt(n), rtol=0, atol=1e-14)
+    # one partial span, then two chunks merged, the second ending in a partial span
+    for n in (2000, measure._CHUNK + measure._SPAN + 3):
+        report = measure.orthogonality_suite(n, seed=8)
+        d = compose_batch(measure.sample_haar(8, n))
+        prod = np.einsum('mij,mkl->mijkl', d, d.conj())
+        np.testing.assert_allclose(report.estimates, prod.mean(axis=0), rtol=0, atol=1e-14)
+        for se, part in ((report.std_error_re, prod.real), (report.std_error_im, prod.imag)):
+            np.testing.assert_allclose(se, part.std(axis=0, ddof=1) / np.sqrt(n),
+                                       rtol=0, atol=1e-14)
 
 
 def test_orthogonality_suite_is_exactly_conjugate_symmetric():
@@ -243,7 +245,7 @@ def _volume_oracle(n, seed):
         dev = d - mean_k
         delta = mean_k - mean
         mean += delta * (k / (count + k))
-        m2 += (dev * dev).sum() + delta * delta * (count * k / (count + k))
+        m2 = m2 + (dev * dev).sum() + delta * delta * (count * k / (count + k))
         count += k
     box = float(np.prod(measure.REFERENCE_BOX_HIGH))
     return float(box * mean), float(box * np.sqrt(m2 / (n - 1)) / np.sqrt(n))
@@ -260,20 +262,39 @@ def _orthogonality_oracle(n, seed):
     p[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
     p[:, 6] = 2 * np.pi * u[:, 6]
     p[:, 7] = group.PHI_PERIOD * u[:, 7]
-    s_re, s_im, s2_re, s2_im = np.zeros((4, 9, 9))
+    # each chunk: the Gram sums of its spans, then its count, mean and
+    # squared deviations of Re x_pq and Im x_pq, x_pq = D_p conj(D_q),
+    # merged into the running ones
     for start in range(0, n, measure._CHUNK):
-        flat = compose_batch(p[start:start + measure._CHUNK]).reshape(-1, 9).T
-        re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
-        pr = re[:, None] * re + im[:, None] * im                # [p, q, sample]
-        pi = im[:, None] * re - re[:, None] * im
-        s_re += pr.sum(axis=-1)
-        s_im += pi.sum(axis=-1)
-        s2_re += (pr * pr).sum(axis=-1)
-        s2_im += (pi * pi).sum(axis=-1)
-    est = ((s_re + 1j * s_im) / n).reshape(3, 3, 3, 3)
-    var_re = np.maximum(s2_re.reshape(est.shape) / n - est.real ** 2, 0.0) * n / (n - 1)
-    var_im = np.maximum(s2_im.reshape(est.shape) / n - est.imag ** 2, 0.0) * n / (n - 1)
-    return est, np.sqrt(var_re / n), np.sqrt(var_im / n)
+        stop = min(start + measure._CHUNK, n)
+        w, v, aa = np.zeros((18, 18)), np.zeros((18, 18)), np.zeros((9, 9))
+        for lo in range(start, stop, measure._SPAN):
+            d = compose_batch(p[lo:min(lo + measure._SPAN, stop)]).reshape(-1, 9)
+            r = np.empty((len(d), 18))              # Re D_0, Im D_0, Re D_1, ...
+            r[:, ::2], r[:, 1::2] = d.real, d.imag
+            g = (d * d).view(float)                 # the same of D_p^2
+            a = d.real ** 2 + d.imag ** 2           # |D_p|^2
+            w += np.dot(r.T, r)
+            v += np.dot(g.T, g)
+            aa += np.dot(a.T, a)
+        k = stop - start
+        sum_re = w[::2, ::2] + w[1::2, 1::2]        # re_p re_q + im_p im_q
+        sum_im = w[1::2, ::2] - w[::2, 1::2]        # im_p re_q - re_p im_q
+        # (Re x)^2 and (Im x)^2 are (|x|^2 +- Re x^2) / 2; x_pp is real
+        cross = v[::2, ::2] + v[1::2, 1::2]
+        cross[np.diag_indices(9)] = aa.diagonal()
+        mean_k = np.stack([sum_re, sum_im]) / k
+        m2_k = np.stack([aa + cross, aa - cross]) / 2 - k * mean_k * mean_k
+        if start == 0:
+            count, mean, m2 = k, mean_k, m2_k
+        else:
+            delta = mean_k - mean
+            mean = mean + delta * (k / (count + k))
+            m2 = m2 + m2_k + delta * delta * (count * k / (count + k))
+            count += k
+    est = (mean[0] + 1j * mean[1]).reshape(3, 3, 3, 3)
+    se_re, se_im = np.sqrt(m2 / (n - 1) / n).reshape(2, 3, 3, 3, 3)
+    return est, se_re, se_im
 
 
 CHUNK_SIZES = (2, measure._CHUNK, measure._CHUNK + 1, 3 * measure._CHUNK + 5)
@@ -389,10 +410,11 @@ def peak_growth_kib(call: str, n: int) -> int:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_two_thread_orthogonality_suite_keeps_peak_memory_low():
-    # the helper composes short spans in workspace the caller allocated; whole
+    # the helper composes short spans, and its workspace is one span's
+    # uniforms, which the caller allocated: the peak grows by ~4 MB.  Whole
     # chunks composed on the helper leave their temporaries in its malloc
-    # arena and grow the peak by ~17 MB
-    assert peak_growth_kib("measure.orthogonality_suite({})", 100_000) < 12 * 1024
+    # arena and grow it by ~17 MB
+    assert peak_growth_kib("measure.orthogonality_suite({})", 100_000) < 8 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
