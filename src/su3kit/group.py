@@ -28,6 +28,7 @@ quarter of the group and demonstrably break the orthogonality integrals.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -279,16 +280,38 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _cabs(z: complex) -> float:
+    """abs(z), or inf where the modulus of a finite z overflows (abs raises)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def unitarity_residual(u: np.ndarray) -> float:
-    """Largest entry of |u^dag u - 1|; NaN if u is not finite."""
-    u = np.asarray(u, dtype=complex)
-    if np.count_nonzero(np.isfinite(u)) < u.size:    # an inf would warn in the product
+    """Largest entry of |u^dag u - 1| of a 3x3 matrix; NaN if u is not finite.
+
+    Python complex arithmetic on the six entries of the Hermitian u^dag u
+    on and above its diagonal; an entry that overflows makes the residual
+    inf or NaN, never a warning.
+    """
+    rows = np.asarray(u, dtype=complex).tolist()
+    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2])):
         return math.nan
-    return float(np.abs(u.conj().T @ u - IDENTITY3).max())
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    a_, d_, g_ = a.conjugate(), d.conjugate(), g.conjugate()
+    b_, e_, h_ = b.conjugate(), e.conjugate(), h.conjugate()
+    res = [_cabs(a_ * a + d_ * d + g_ * g - 1.0), _cabs(b_ * b + e_ * e + h_ * h - 1.0),
+           _cabs(c.conjugate() * c + f.conjugate() * f + k.conjugate() * k - 1.0),
+           _cabs(a_ * b + d_ * e + g_ * h), _cabs(a_ * c + d_ * f + g_ * k),
+           _cabs(b_ * c + e_ * f + h_ * k)]
+    return math.nan if any(map(math.isnan, res)) else max(res)   # max() may drop a NaN
 
 
 def det_residual(u: np.ndarray) -> float:
-    return float(abs(np.linalg.det(np.asarray(u, dtype=complex)) - 1.0))
+    """|det u - 1| of a 3x3 matrix, the determinant by cofactors of its first row."""
+    (a, b, c), (d, e, f), (g, h, k) = np.asarray(u, dtype=complex).tolist()
+    return _cabs(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) - 1.0)
 
 
 def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
@@ -303,7 +326,8 @@ def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
     u = np.asarray(u, dtype=complex)
     where = ""
     if u.ndim == 3:
-        with np.errstate(invalid="ignore"):     # non-finite rows are reported below
+        # non-finite or overflowing rows are reported below
+        with np.errstate(invalid="ignore", over="ignore"):
             ru = np.abs(_dagger(u) @ u - IDENTITY3).max(axis=(1, 2))
             rd = np.abs(np.linalg.det(u) - 1.0)
         bad = np.flatnonzero(~((ru <= tol) & (rd <= tol)))
@@ -350,24 +374,33 @@ def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)[:, None, None]
 
 
-def _su2_angles(row: np.ndarray):
-    """Euler angles of a 2x2 SU(2) block: u = e(i s3 a) e(i s2 b) e(i s3 c).
+def _strip_left(cos, sin, re, im):
+    """Entries [0, 0], [0, 1] and [2, 2] of exp(-i l5 theta) V u, with V the
+    inverse of exp(i l3 alpha) exp(i l2 beta) exp(i l3 gamma), each as a
+    (real, imaginary) pair.
 
-    ``row`` is the block's first row, which fixes all three.  Returns
-    (a, b, c, flags) with a in [0, pi), b in [0, pi/2], c in [0, 2 pi).
-    At the b = 0 or b = pi/2 strata only one phase combination is defined;
-    the convention folds it into c and zeroes a.
+    ``cos`` and ``sin`` hold the cosines and sines of (alpha + gamma,
+    alpha - gamma, beta, theta), and ``re[i][k]``, ``im[i][k]`` the parts of
+    u[i, k].  Given Python floats it strips one matrix, given columns over a
+    stack it strips them all, and both give the same bits: the arithmetic is
+    real products and sums in a fixed order.  A complex product would not
+    be, since numpy's fuses a multiply and an add where CPython's does not.
     """
-    z0, z1 = row.tolist()
-    cb, sb = abs(z0), abs(z1)
-    b, s2, d2 = np.arctan2([sb, z0.imag, z1.imag], [cb, z0.real, z1.real]).tolist()
-    if sb <= _STRATUM_TOL:
-        return 0.0, 0.0, s2 % _TAU, ["b=0"]
-    if cb <= _STRATUM_TOL:
-        return 0.0, math.pi / 2, (-d2) % _TAU, ["b=pi/2"]
-    a = ((s2 + d2) / 2.0) % math.pi        # s2 = a + c, d2 = a - c
-    c = (s2 - a) % _TAU
-    return a, b, c, []
+    cs, cd, cb, ct = cos
+    ss, sd, sb, st = sin
+    vr, vi = cb * cs, cb * ss               # V[0, 0] = cos(beta) e^(-i (alpha + gamma))
+    wr, wi = sb * cd, sb * sd               # V[0, 1] = -sin(beta) e^(i (alpha - gamma))
+    r0, r1, r2 = re
+    i0, i1, i2 = im
+
+    def t(k):                               # V[0, 0] u[0, k] + V[0, 1] u[1, k]
+        return ((vr * r0[k] + vi * i0[k]) - (wr * r1[k] - wi * i1[k]),
+                (vr * i0[k] - vi * r0[k]) - (wr * i1[k] + wi * r1[k]))
+
+    (t0r, t0i), (t1r, t1i), (t2r, t2i) = t(0), t(1), t(2)
+    return ((ct * t0r - st * r2[0], ct * t0i - st * i2[0]),
+            (ct * t1r - st * r2[1], ct * t1i - st * i2[1]),
+            (st * t2r + ct * r2[2], st * t2i + ct * i2[2]))
 
 
 def decompose(u: np.ndarray, tol: float = 1e-8):
@@ -375,7 +408,9 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
 
     The third column fixes theta, beta, phi and the first SU(2) block;
     stripping those factors leaves an embedded U(2) element whose SU(2)
-    part yields (a, b, c).  All angles land in the canonical ranges.
+    part yields (a, b, c).  The stripping reads three entries, in closed
+    form (:func:`_strip_left`), with no chart factors or matrix products.
+    All angles land in the canonical ranges.
 
     Parameters
     ----------
@@ -404,16 +439,17 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     assert_group_element(u, tol)
     if u.ndim == 3:
         return _decompose_stack(u)
-    # Python floats from here on, but the moduli of psi and every arctan2
-    # stay numpy ufuncs (np.angle is arctan2(imag, real)): abs(), math.atan2
-    # and cmath.phase differ from them in the last bit.
+    # Python floats from here on, but the moduli of psi, every arctan2 and
+    # the cosines and sines stay numpy ufuncs, as in the stack path
+    # (np.angle is arctan2(imag, real)): abs(), math.atan2 and cmath.phase
+    # differ from them in the last bit.
     flags: list[str] = []
+    re, im = u.real.tolist(), u.imag.tolist()
     m1, m2, m3 = np.abs(u[:, 2]).tolist()
-    psi = u[:, 2].tolist()
     stheta = abs(complex(m1, m2))           # libm hypot, as np.hypot
     theta, beta, arg0, arg1, arg2 = np.arctan2(
-        [stheta, m2, psi[0].imag, -psi[1].imag, psi[2].imag],
-        [m3, m1, psi[0].real, -psi[1].real, psi[2].real]).tolist()   # arg1 = arg(-psi[1])
+        [stheta, m2, im[0][2], -im[1][2], im[2][2]],
+        [m3, m1, re[0][2], -re[1][2], re[2][2]]).tolist()   # arg1 = arg(-u[1, 2])
 
     if stheta <= _STRATUM_TOL:
         # theta = 0: the whole left SU(2) block is gauge; fold into (a, b, c)
@@ -446,13 +482,25 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
             alpha = ((s1 + d1) / 2.0) % math.pi
             gamma = (s1 - alpha) % _TAU
 
-    f = _factors(np.array([[alpha, beta, gamma, -theta, 0.0, 0.0, 0.0, 0.0]]))[:, 0]
-    residual = f[3] @ _dagger(f[0] @ f[1] @ f[2]) @ u
-    r22 = residual[2, 2]
-    phi = (_SQRT3 / 2.0) * ((-float(np.arctan2(r22.imag, r22.real))) % _TAU)
-    x = -phi / _SQRT3                       # exp(i x) equals np.exp(-1j * phi / SQRT3)
-    a, b, c, block_flags = _su2_angles(residual[0, :2] * complex(math.cos(x), math.sin(x)))
-    flags += block_flags
+    x = np.array([alpha + gamma, alpha - gamma, beta, theta])
+    (x0, y0), (x1, y1), (x2, y2) = _strip_left(np.cos(x).tolist(), np.sin(x).tolist(), re, im)
+    cb, sb = abs(complex(x0, y0)), abs(complex(x1, y1))     # libm hypot, as np.hypot
+    arg22, b, s2, d2 = np.arctan2([y2, sb, y0, y1], [x2, cb, x0, x1]).tolist()
+    phi = (_SQRT3 / 2.0) * ((-arg22) % _TAU)
+    # the l8 factor adds phi / sqrt(3) to the phases of the first row
+    s2 -= phi / _SQRT3                      # a + c
+    d2 -= phi / _SQRT3                      # a - c
+    if sb <= _STRATUM_TOL:
+        # b = 0 or pi/2: only one phase combination is defined; the
+        # convention folds it into c and zeroes a
+        a, b, c = 0.0, 0.0, s2 % _TAU
+        flags.append("b=0")
+    elif cb <= _STRATUM_TOL:
+        a, b, c = 0.0, math.pi / 2, (-d2) % _TAU
+        flags.append("b=pi/2")
+    else:
+        a = ((s2 + d2) / 2.0) % math.pi
+        c = (s2 - a) % _TAU
 
     angles = EulerAngles(alpha, beta, gamma, theta, a, b, c, phi)
     return angles, flags
@@ -462,8 +510,8 @@ def _decompose_stack(u: np.ndarray):
     """:func:`decompose` of an (n, 3, 3) stack of admitted matrices.
 
     The per-matrix arithmetic on whole columns: each stratum branch of the
-    one-matrix code is a row mask, and the stripping products are stacked
-    products of chart factors.
+    one-matrix code is a row mask, and :func:`_strip_left` strips every
+    matrix at once on columns of real and imaginary parts.
     """
     tau = 2 * np.pi
     psi = u[:, :, 2]
@@ -485,20 +533,15 @@ def _decompose_stack(u: np.ndarray):
     gamma = np.select([generic, beta0, beta_half], [(s1 - alpha) % tau, s1 % tau, d1 % tau], 0.0)
     beta = np.select([theta0 | beta0, beta_half], [0.0, np.pi / 2], np.arctan2(m2, m1))
 
-    zero = np.zeros_like(theta)
-    residual = np.empty_like(u)
-    for i, f in _factor_blocks(np.stack([alpha, beta, gamma, -theta, zero, zero, zero, zero], axis=1)):
-        rows = slice(i, i + _BLOCK)
-        residual[rows] = f[3] @ _dagger(f[0] @ f[1] @ f[2]) @ u[rows]
-    phi = (SQRT3 / 2.0) * ((-np.angle(residual[:, 2, 2])) % tau)
-    block = residual[:, :2, :2] * _cis(-phi / SQRT3)[:, None, None]
-
-    cb = np.abs(block[:, 0, 0])
-    sb = np.abs(block[:, 0, 1])
+    x = np.stack([alpha + gamma, alpha - gamma, beta, theta])
+    cols = u.transpose(1, 2, 0)                     # cols[i][k] is u[:, i, k]
+    (x0, y0), (x1, y1), (x2, y2) = _strip_left(np.cos(x), np.sin(x), cols.real, cols.imag)
+    cb, sb = np.hypot(x0, y0), np.hypot(x1, y1)
+    phi = (SQRT3 / 2.0) * ((-np.arctan2(y2, x2)) % tau)
+    s2 = np.arctan2(y0, x0) - phi / SQRT3           # a + c
+    d2 = np.arctan2(y1, x1) - phi / SQRT3           # a - c
     b0 = sb <= _STRATUM_TOL
     b_half = ~b0 & (cb <= _STRATUM_TOL)
-    s2 = np.angle(block[:, 0, 0])                   # a + c
-    d2 = np.angle(block[:, 0, 1])                   # a - c
     a = np.where(b0 | b_half, 0.0, ((s2 + d2) / 2.0) % np.pi)
     c = np.select([b0, b_half], [s2 % tau, (-d2) % tau], (s2 - a) % tau)
     b = np.select([b0, b_half], [0.0, np.pi / 2], np.arctan2(sb, cb))

@@ -1,5 +1,6 @@
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_decompose_rejects_non_unitary_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "decompose", "--matrix", str(matrix_file))
     assert code == 2
     assert "residual" in err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.5e308])
+def test_decompose_overflowing_matrix_exit_2_without_a_warning(tmp_path, capsys, scale):
+    matrix_file = tmp_path / "big.json"
+    for u in (scale * np.eye(3), scale * su3kit.random_su3(1, np.random.default_rng(3))[0]):
+        matrix_file.write_text(json.dumps(cli.matrix_to_json(u)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decompose", "--matrix", str(matrix_file))
+        assert code == 2 and out == "" and "not unitary" in err
+        assert "Warning" not in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,120 @@ def test_one_matrix_decompose_matches_stack_near_strata():
             gap = abs(x - y) if period is None else abs((x - y + period / 2) % period - period / 2)
             assert gap <= 1e-14
     assert seen == {"theta=0", "theta=pi/2", "beta=0", "beta=pi/2", "b=0", "b=pi/2"}
+
+
+def near_strata_points():
+    """The points of test_one_matrix_decompose_matches_stack_near_strata."""
+    rng = np.random.default_rng(16)
+    pts = []
+    for j in (1, 3, 5):
+        for end in (0.0, np.pi / 2):
+            for d in 10.0 ** -np.arange(3, 15):
+                for _ in range(3):
+                    p = rng.uniform(0.1, 1.4, 8)
+                    p[j] = d if end == 0.0 else end - d
+                    pts.append(p)
+    return np.array(pts)
+
+
+def test_strip_left_gives_the_same_bits_on_floats_and_on_columns():
+    # a last-bit difference between the one-matrix and stack paths can put
+    # a on the other side of its 0 / pi boundary and move c by pi
+    mats = np.concatenate([group.random_su3(300, np.random.default_rng(18)),
+                           group.compose_batch(np.array(STRATUM_POINTS)), np.eye(3)[None],
+                           group.compose_batch(near_strata_points())])
+    angles, _ = decompose(mats)
+    x = np.stack([angles[:, 0] + angles[:, 2], angles[:, 0] - angles[:, 2], angles[:, 1], angles[:, 3]])
+    cos, sin = np.cos(x), np.sin(x)
+    cols = mats.transpose(1, 2, 0)
+    stacked = group._strip_left(cos, sin, cols.real, cols.imag)
+    for m, u in enumerate(mats):
+        single = group._strip_left(cos[:, m].tolist(), sin[:, m].tolist(),
+                                   u.real.tolist(), u.imag.tolist())
+        column = [[part[m] for part in entry] for entry in stacked]
+        assert np.array(single).tobytes() == np.array(column).tobytes(), m
+        assert decompose(u)[0].as_array().tobytes() == angles[m].tobytes(), m
+
+
+def test_strip_left_entries_equal_the_chart_factor_product():
+    mats = group.random_su3(50, np.random.default_rng(19))
+    angles, _ = decompose(mats)
+    for u, p in zip(mats, angles):
+        alpha, beta, gamma, theta = p[:4]
+        r = (exp_generator(5, -theta) @ (exp_generator(3, alpha) @ exp_generator(2, beta)
+                                         @ exp_generator(3, gamma)).conj().T @ u)
+        x = [alpha + gamma, alpha - gamma, beta, theta]
+        single = group._strip_left(np.cos(x), np.sin(x), u.real, u.imag)
+        got = [complex(*entry) for entry in single]
+        assert np.abs(np.array(got) - r[[0, 0, 2], [0, 1, 2]]).max() <= 1e-15
+
+
+def test_decompose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
+    mats = np.concatenate([group.random_su3(20, np.random.default_rng(20)),
+                           group.compose_batch(np.array(STRATUM_POINTS))])
+    expected = [decompose(u) for u in mats]
+    stacked = decompose(mats)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose must not call this")
+
+    for name in ("_factors", "_factor_blocks"):
+        monkeypatch.setattr(group, name, forbidden)
+    angles, flags = decompose(mats)
+    assert angles.tobytes() == stacked[0].tobytes() and flags == stacked[1]
+    # one matrix: no 3x3 product, conjugate transpose or LAPACK determinant either
+    monkeypatch.setattr(group, "_dagger", forbidden)
+    monkeypatch.setattr(np, "matmul", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for u, (single, single_flags) in zip(mats, expected):
+        got, got_flags = decompose(u)
+        assert got == single and got_flags == single_flags
+
+
+def stacked_residuals(mats):
+    """The residuals assert_group_element computes for a stack."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        ru = np.abs(np.conj(mats).swapaxes(1, 2) @ mats - np.eye(3)).max(axis=(1, 2))
+        rd = np.abs(np.linalg.det(mats) - 1.0)
+    return ru, rd
+
+
+def test_closed_form_residuals_agree_with_the_stacked_ones():
+    haar = group.random_su3(1000, np.random.default_rng(26))
+    ru, rd = stacked_residuals(haar)
+    for u, su, sd in zip(haar, ru, rd):
+        assert abs(group.unitarity_residual(u) - su) <= 1e-15
+        assert abs(group.det_residual(u) - sd) <= 1e-15
+    # the malformed matrices of the benchmark: Haar ones scaled by 1 + 1e-6 .. 1e-2
+    scales = 1.0 + 10.0 ** np.random.default_rng(27).uniform(-6, -2, 200)
+    mats = np.concatenate([haar[:200] * scales[:, None, None], haar[200:400]])
+    ru, rd = stacked_residuals(mats)
+    admitted = (ru <= 1e-8) & (rd <= 1e-8)
+    assert not admitted[:200].any() and admitted[200:].all()
+    for u, verdict in zip(mats, admitted):
+        assert (group.unitarity_residual(u) <= 1e-8 and group.det_residual(u) <= 1e-8) == verdict
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.5e308])
+def test_overflowing_matrices_are_rejected_without_a_warning(scale):
+    haar = group.random_su3(2, np.random.default_rng(28))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (scale * np.eye(3), scale * haar[0]):
+            with pytest.raises(ValueError, match="not unitary"):
+                decompose(u)
+            with pytest.raises(ValueError, match="at row 1 is not unitary"):
+                decompose(np.stack([haar[1], u]))
+            ru, rd = stacked_residuals(u[None])
+            # NaN where the stacked residual is NaN, whatever the order of the entries
+            np.testing.assert_equal(group.unitarity_residual(u), ru[0])
+            assert not group.det_residual(u) <= 1e-8
+        # finite results whose modulus overflows: det = s^3 (-2 + 2j), and
+        # (u^dag u)[0, 1] = s^2 (1 + 1j)
+        s = 4.2e102
+        assert group.det_residual(np.diag([s * (1 + 1j)] * 3)) == np.inf
+        s = 1.3e154
+        assert group.unitarity_residual([[s, s * (1 + 1j), 0], [0, 0, 0], [0, 0, 0]]) == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
