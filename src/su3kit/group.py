@@ -31,11 +31,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .algebra import IDENTITY3, LAMBDA, SQRT3, expand_hermitian
+from .algebra import LAMBDA, SQRT3, expand_hermitian
 
 ANGLE_NAMES = ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")
 
@@ -151,53 +150,66 @@ def exp_generator(k: int, t: float) -> np.ndarray:
     raise ValueError(f"generator index must be in 1..8, got {k}")
 
 
-def compose(angles) -> np.ndarray:
-    """Chart coordinates -> SU(3) matrix (the ordered 8-factor product)."""
-    return reduce(np.matmul, _factors(_angles_array(angles)[None])[:, 0])
+def _chart_entries(cos, sin):
+    """The chart product D as the 18 reals of its float view, row by row.
 
-
-def _cis(t: np.ndarray) -> np.ndarray:
-    """exp(i t) elementwise, equal bit for bit to the scalar np.exp(1j * t).
-
-    The array form np.exp(1j * t / SQRT3) is not: it differs from the scalar
-    one by up to an ulp, so every phase of a batch is built this way.
+    ``cos`` and ``sin`` hold those of the nine arguments in ``_ARG_COORDS``
+    order (alpha, gamma, a, c, phi / sqrt 3, (-2 phi) / sqrt 3, beta, b,
+    theta).  Python floats give one matrix and columns a batch, with the same
+    bits: real products and sums, as in :func:`_strip_left`.  The factors
+    left of exp(i l5 theta) are [[A, B], [-B*, A*]] with A = cos(beta)
+    e^(i (alpha + gamma)), B = sin(beta) e^(i (alpha - gamma)); those right
+    of it [[E, G], [-H, F]] with E, F = cos(b) e^(+-i (a + c)) w and G, H =
+    sin(b) e^(+-i (a - c)) w, w = e^(i phi / sqrt 3), and e^(-2i phi / sqrt 3).
     """
-    w = np.empty(np.shape(t), dtype=complex)
-    w.real = np.cos(t)
-    w.imag = np.sin(t)
-    return w
+    cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
+    sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
+    x, y, z, t = cal * cga, sal * sga, sal * cga, cal * sga
+    ar, ai, br, bi = cbe * (x - y), cbe * (z + t), sbe * (x + y), sbe * (z - t)
+    x, y, z, t = ca * cc, sa * sc, sa * cc, ca * sc
+    pr, pi, qr, qi = x - y, z + t, x + y, z - t             # e^(i (a + c)), e^(i (a - c))
+    wr, wi = cb * cw, cb * sw
+    x, y, z, t = pr * wr, pi * wi, pr * wi, pi * wr
+    er, ei, fr, fi = x - y, z + t, x + y, z - t
+    wr, wi = sb * cw, sb * sw
+    x, y, z, t = qr * wr, qi * wi, qr * wi, qi * wr
+    gr, gi, hr, hi = x - y, z + t, x + y, z - t
+    # exp(i l5 theta) mixes the columns: rows (cos(theta) A, B, sin(theta) A),
+    # (-cos(theta) B*, A*, -sin(theta) B*) and (-sin(theta), 0, cos(theta))
+    nct, nst = -cth, -sth
+    m0r, m0i, m1r, m1i = cth * ar, cth * ai, nct * br, cth * bi
+    n0r, n0i, n1r, n1i = sth * ar, sth * ai, nst * br, sth * bi
+    return ((m0r * er - m0i * ei) - (br * hr - bi * hi), (m0r * ei + m0i * er) - (br * hi + bi * hr),
+            (m0r * gr - m0i * gi) + (br * fr - bi * fi), (m0r * gi + m0i * gr) + (br * fi + bi * fr),
+            n0r * cv - n0i * sv, n0r * sv + n0i * cv,
+            (m1r * er - m1i * ei) - (ar * hr + ai * hi), (m1r * ei + m1i * er) - (ar * hi - ai * hr),
+            (m1r * gr - m1i * gi) + (ar * fr + ai * fi), (m1r * gi + m1i * gr) + (ar * fi - ai * fr),
+            n1r * cv - n1i * sv, n1r * sv + n1i * cv,
+            nst * er, nst * ei, nst * gr, nst * gi, cth * cv, cth * sv)
+
+
+def compose(angles) -> np.ndarray:
+    """Chart coordinates -> SU(3) matrix (the ordered 8-factor product), in
+    closed form (:func:`_chart_entries` on Python floats)."""
+    alpha, beta, gamma, theta, a, b, c, phi = _angles_array(angles).tolist()
+    x = np.array([alpha, gamma, a, c, phi / _SQRT3, -2 * phi / _SQRT3, beta, b, theta])
+    return np.array(_chart_entries(np.cos(x).tolist(), np.sin(x).tolist())).view(complex).reshape(3, 3)
 
 
 def compose_batch(points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`compose` for an (n, 8) array of chart points.
-
-    Right-multiplying by a chart factor only touches columns: an l3 or l8
-    factor scales them by phases, an l2 or l5 factor rotates two of them.
-    The product is built factor by factor that way, with no 3x3 matmuls.
-    """
+    """Vectorized :func:`compose` for an (n, 8) array of chart points:
+    :func:`_chart_entries` on columns fills the float view of the result, so
+    row k equals ``compose(points[k])`` bit for bit."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 8:
         raise ValueError("compose_batch expects an (n, 8) array")
     _check_finite(p)
-    cols = np.zeros((3, 3, len(p)), dtype=complex)     # cols[j, i, m] = D[m, i, j]
-    w = _cis(p[:, 0])
-    cols[0, 0], cols[1, 1], cols[2, 2] = w, w.conj(), 1.0
-    for k, t in zip(FACTOR_GENERATORS[1:], p[:, 1:].T):
-        if k == 3:
-            w = _cis(t)
-            cols[0] *= w
-            cols[1] *= w.conj()
-        elif k == 8:
-            cols[:2] *= _cis(t / SQRT3)
-            cols[2] *= _cis(-2 * t / SQRT3)
-        else:
-            j = 1 if k == 2 else 2
-            # the cast a mixed float x complex product would make, done once
-            c, s = np.cos(t).astype(complex), np.sin(t).astype(complex)
-            x = cols[0].copy()
-            cols[0] = c * x - s * cols[j]
-            cols[j] = s * x + c * cols[j]
-    return cols.transpose(2, 1, 0).copy()
+    out = np.empty((len(p), 3, 3), dtype=complex)
+    flat = out.view(float).reshape(len(p), 18)
+    for i in range(0, len(p), 2048):        # bounds the ~100 temporaries to ~1.5 MB
+        x = p[i:i + 2048].T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
+        flat[i:i + 2048].T[...] = _chart_entries(np.cos(x), np.sin(x))
+    return out
 
 
 # The eight chart factors with the entries that do not depend on the angle:
@@ -288,6 +300,23 @@ def _cabs(z: complex) -> float:
         return math.inf
 
 
+def _gram_minus_one(rows):
+    """The six entries of u^dag u - 1 on and above its diagonal, u given by
+    its rows of Python complex numbers or of numpy complex columns."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    a_, d_, g_ = a.conjugate(), d.conjugate(), g.conjugate()
+    b_, e_, h_ = b.conjugate(), e.conjugate(), h.conjugate()
+    return (a_ * a + d_ * d + g_ * g - 1.0, b_ * b + e_ * e + h_ * h - 1.0,
+            c.conjugate() * c + f.conjugate() * f + k.conjugate() * k - 1.0,
+            a_ * b + d_ * e + g_ * h, a_ * c + d_ * f + g_ * k, b_ * c + e_ * f + h_ * k)
+
+
+def _det_minus_one(rows):
+    """det u - 1 by cofactors of the first row, u given as in :func:`_gram_minus_one`."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) - 1.0
+
+
 def unitarity_residual(u: np.ndarray) -> float:
     """Largest entry of |u^dag u - 1| of a 3x3 matrix; NaN if u is not finite.
 
@@ -298,38 +327,33 @@ def unitarity_residual(u: np.ndarray) -> float:
     rows = np.asarray(u, dtype=complex).tolist()
     if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2])):
         return math.nan
-    (a, b, c), (d, e, f), (g, h, k) = rows
-    a_, d_, g_ = a.conjugate(), d.conjugate(), g.conjugate()
-    b_, e_, h_ = b.conjugate(), e.conjugate(), h.conjugate()
-    res = [_cabs(a_ * a + d_ * d + g_ * g - 1.0), _cabs(b_ * b + e_ * e + h_ * h - 1.0),
-           _cabs(c.conjugate() * c + f.conjugate() * f + k.conjugate() * k - 1.0),
-           _cabs(a_ * b + d_ * e + g_ * h), _cabs(a_ * c + d_ * f + g_ * k),
-           _cabs(b_ * c + e_ * f + h_ * k)]
+    res = list(map(_cabs, _gram_minus_one(rows)))
     return math.nan if any(map(math.isnan, res)) else max(res)   # max() may drop a NaN
 
 
 def det_residual(u: np.ndarray) -> float:
     """|det u - 1| of a 3x3 matrix, the determinant by cofactors of its first row."""
-    (a, b, c), (d, e, f), (g, h, k) = np.asarray(u, dtype=complex).tolist()
-    return _cabs(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) - 1.0)
+    return _cabs(_det_minus_one(np.asarray(u, dtype=complex).tolist()))
 
 
 def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
     """Raise ValueError naming the residual if u is not in SU(3) within tol.
 
-    An (n, 3, 3) stack is checked matrix by matrix, and the message names
-    the first bad row.  A NaN residual fails, as does any other that is not
-    within tol.  A tol that is not finite and >= 0 raises ValueError.
+    An (n, 3, 3) stack is checked matrix by matrix, with the one-matrix
+    formulas on numpy columns, and the message names the first bad row.  A
+    NaN residual fails, as does any other that is not within tol.  A tol
+    that is not finite and >= 0 raises ValueError.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     u = np.asarray(u, dtype=complex)
     where = ""
     if u.ndim == 3:
+        cols = u.transpose(1, 2, 0)         # cols[i][k] is u[:, i, k]
         # non-finite or overflowing rows are reported below
         with np.errstate(invalid="ignore", over="ignore"):
-            ru = np.abs(_dagger(u) @ u - IDENTITY3).max(axis=(1, 2))
-            rd = np.abs(np.linalg.det(u) - 1.0)
+            ru = np.abs(np.stack(_gram_minus_one(cols))).max(axis=0)
+            rd = np.abs(_det_minus_one(cols))
         bad = np.flatnonzero(~((ru <= tol) & (rd <= tol)))
         if bad.size == 0:
             return

@@ -62,13 +62,15 @@ def test_compose_identity_and_theta_only():
 
 
 def test_compose_equals_left_to_right_product_of_factors():
+    # compose sums in another order than the matrix chain: up to 4.6e-16
+    # seen at these points, so 1e-15 leaves a margin of two
     rng = np.random.default_rng(35)
     pts = np.concatenate([haar_angles(rng, 300), rng.uniform(-10, 10, (300, 8))])
     for p in pts:
         d = exp_generator(group.FACTOR_GENERATORS[0], p[0])
         for k, t in zip(group.FACTOR_GENERATORS[1:], p[1:]):
             d = d @ exp_generator(k, t)
-        np.testing.assert_array_equal(compose(p), d)
+        np.testing.assert_allclose(compose(p), d, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257])
@@ -145,7 +147,7 @@ def test_compose_batch_matches_scalar_compose():
     pts = rng.standard_normal((40, 8))
     batch = group.compose_batch(pts)
     for k in range(40):
-        np.testing.assert_allclose(batch[k], compose(pts[k]), atol=1e-15)
+        assert batch[k].tobytes() == compose(pts[k]).tobytes(), k
 
 
 def test_compose_batch_matches_series_oracle_product():
@@ -161,20 +163,29 @@ def test_compose_batch_matches_series_oracle_product():
         np.testing.assert_allclose(d, oracle, atol=1e-14)
 
 
+def _cis(t):
+    """exp(i t) elementwise, built from cos(t) and sin(t)."""
+    w = np.empty(np.shape(t), dtype=complex)
+    w.real = np.cos(t)
+    w.imag = np.sin(t)
+    return w
+
+
 def _mixed_type_compose_batch(p):
-    """compose_batch's column kernel with the rotations' cos and sin left
-    as floats, so each float x complex product casts them itself."""
+    """The chart product built factor by factor on complex columns: an l3
+    or l8 factor scales them by phases, an l2 or l5 factor rotates two of
+    them, with the rotations' cos and sin left as floats."""
     cols = np.zeros((3, 3, len(p)), dtype=complex)
-    w = group._cis(p[:, 0])
+    w = _cis(p[:, 0])
     cols[0, 0], cols[1, 1], cols[2, 2] = w, w.conj(), 1.0
     for k, t in zip(group.FACTOR_GENERATORS[1:], p[:, 1:].T):
         if k == 3:
-            w = group._cis(t)
+            w = _cis(t)
             cols[0] *= w
             cols[1] *= w.conj()
         elif k == 8:
-            cols[:2] *= group._cis(t / SQ3)
-            cols[2] *= group._cis(-2 * t / SQ3)
+            cols[:2] *= _cis(t / SQ3)
+            cols[2] *= _cis(-2 * t / SQ3)
         else:
             j = 1 if k == 2 else 2
             c, s = np.cos(t), np.sin(t)
@@ -184,16 +195,50 @@ def _mixed_type_compose_batch(p):
     return cols.transpose(2, 1, 0).copy()
 
 
-def test_compose_batch_bytes_equal_the_mixed_type_kernel():
-    rng = np.random.default_rng(17)
+def chart_points(rng):
+    """Haar points, points in [-10, 10) and [-1e3, 1e3), zeros, -0.0, and
+    the 27 combinations of beta, b and theta at 0, pi/2 or interior."""
     strata = np.tile(haar_angles(rng, 1), (27, 1))
     for r, (beta, b, theta) in enumerate(np.ndindex(3, 3, 3)):    # 0, pi/2, interior
         for j, v in ((1, beta), (5, b), (3, theta)):
             if v < 2:
                 strata[r, j] = v * np.pi / 2
-    pts = np.concatenate([haar_angles(rng, 5000), rng.uniform(-10, 10, (5000, 8)),
-                          np.zeros((1, 8)), np.full((1, 8), -0.0), [[0.0, -0.0] * 4], strata])
-    assert group.compose_batch(pts).tobytes() == _mixed_type_compose_batch(pts).tobytes()
+    return np.concatenate([haar_angles(rng, 5000), rng.uniform(-10, 10, (5000, 8)),
+                           rng.uniform(-1e3, 1e3, (500, 8)), np.zeros((1, 8)),
+                           np.full((1, 8), -0.0), [[0.0, -0.0] * 4], strata])
+
+
+def test_compose_batch_matches_the_mixed_type_kernel():
+    # the two kernels sum in different orders: up to 5.2e-16 seen at these
+    # points, so 1e-15 leaves a margin of about two
+    pts = chart_points(np.random.default_rng(17))
+    np.testing.assert_allclose(group.compose_batch(pts), _mixed_type_compose_batch(pts),
+                               rtol=0, atol=1e-15)
+
+
+def test_compose_and_compose_batch_give_the_same_bytes():
+    pts = chart_points(np.random.default_rng(38))
+    batch = group.compose_batch(pts)
+    for k, p in enumerate(pts):
+        single = compose(p)
+        assert single.tobytes() == batch[k].tobytes(), k
+        assert compose(EulerAngles.from_array(p)).tobytes() == single.tobytes(), k
+    np.testing.assert_array_equal(compose(np.zeros(8)), np.eye(3))
+    np.testing.assert_array_equal(batch[10500:10503], np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+
+def test_compose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
+    pts = chart_points(np.random.default_rng(39))[::50]
+    batch = group.compose_batch(pts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compose must not call this")
+
+    monkeypatch.setattr(group, "_factors", forbidden)
+    monkeypatch.setattr(np, "matmul", forbidden)
+    assert group.compose_batch(pts).tobytes() == batch.tobytes()
+    for p, d in zip(pts, batch):
+        assert compose(p).tobytes() == d.tobytes()
 
 
 def test_compose_batch_rejects_wrong_shape():
@@ -447,6 +492,26 @@ def test_closed_form_residuals_agree_with_the_stacked_ones():
     assert not admitted[:200].any() and admitted[200:].all()
     for u, verdict in zip(mats, admitted):
         assert (group.unitarity_residual(u) <= 1e-8 and group.det_residual(u) <= 1e-8) == verdict
+
+
+def test_stack_admission_agrees_with_the_stacked_products():
+    # the one-matrix formulas on numpy columns, against the zgemm and LAPACK
+    # residuals: up to 2.2e-16 and 4.6e-16 seen
+    haar = group.random_su3(1000, np.random.default_rng(29))
+    cols = haar.transpose(1, 2, 0)
+    ru, rd = stacked_residuals(haar)
+    assert np.abs(np.abs(np.stack(group._gram_minus_one(cols))).max(axis=0) - ru).max() <= 1e-15
+    assert np.abs(np.abs(group._det_minus_one(cols)) - rd).max() <= 1e-15
+    scales = 1.0 + 10.0 ** np.random.default_rng(30).uniform(-6, -2, 200)
+    mats = np.concatenate([haar[:200] * scales[:, None, None], haar[200:400]])
+    ru, rd = stacked_residuals(mats)
+    for u, verdict in zip(mats, (ru <= 1e-8) & (rd <= 1e-8)):
+        try:
+            group.assert_group_element(u[None], 1e-8)
+        except ValueError:
+            assert not verdict
+        else:
+            assert verdict
 
 
 @pytest.mark.parametrize("scale", [1e200, 1.5e308])
