@@ -23,15 +23,19 @@ Everything else is linear algebra on b and c:
 ``haar_density_closed`` also take an (n, 8) array of points and return the
 stack of their per-point results.  Each of them but
 ``haar_density_closed`` and the one-point ``left_coeffs`` runs one stacked
-kernel (``_coeff_stacks``), one point being a batch of one row: the chart
-factors of a block of points are built at once (``group._factors``), seven
-stacked products advance the prefix frames of b and the suffix frames of c
-together, and one stacked sandwich and one trace projection give every
-column of both, or of the one side a call needs.  The one-point
+kernel (``_coeff_stacks``), one point being a batch of one row.  It follows
+the nesting D = U(alpha, beta, gamma) exp(i l5 theta) V(a, b, c)
+exp(i l8 phi) of two SU(2) blocks (the generalized Euler angles of Tilma &
+Sudarshan, J. Phys. A 35, 10467 (2002)).  With the partial products
+Q = D(alpha, beta, gamma, theta, 0, 0, 0, 0) and Q' = D(0, 0, 0, theta, a,
+b, c, phi), b's theta and phi columns are Ad(Q) l5 and Ad(Q) l8, its a, b, c
+columns Ad(Q) of V's own columns, and its alpha, beta, gamma columns U's
+own, both closed forms on l1, l2, l3.  c mirrors it with Ad(Q'^dag).  A
+point thus takes two closed-form chart products (``group._chart_entries``)
+and five sandwiches a side, and no product chain.  The one-point
 ``left_coeffs`` keeps the factor-by-factor loop as the reference, whose
 eight ``exp_generator`` calls the benchmark's tracer test counts; the
-kernel keeps its association order, so its rows equal the reference to the
-bit (numpy 2.4).
+kernel agrees with it to a few units in the last place.
 ``closed_form_comparison`` takes the exact fields and forms of all its
 points from one ``frame`` call and evaluates each table on the whole batch.
 It and ``matches_documented_catalogue`` import ``closed_forms`` when called,
@@ -47,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IDENTITY3, LAMBDA, expand_hermitian
-from .group import (_BLOCK, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _check_finite,
-                    _dagger, _factor_blocks, _factors, _haar_density, exp_generator)
+from .algebra import LAMBDA, expand_hermitian
+from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_entries, _chart_trig,
+                    _check_finite, _dagger, _haar_density, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -69,37 +73,90 @@ def _points(angles) -> np.ndarray:
     return p
 
 
-# generator of each chart factor, as (8, 1, 3, 3) to broadcast over a block
-_GENS = LAMBDA[np.subtract(FACTOR_GENERATORS, 1)][:, None]
-
-
 # index of the kernel's side axis that selects b alone, c alone, or both
 LEFT, RIGHT, BOTH = 0, 1, slice(0, 2)
 
+# Rows per block of _coeff_stacks.  It bounds the kernel's transient memory
+# at any batch size: about 0.9 MB a block on both sides.
+_BLOCK = 128
 
-def _coeff_block(f: np.ndarray, sides=BOTH) -> np.ndarray:
-    """The (2, m, 8, 8) stack (b, c) of a block from its (8, m, 3, 3) chart
-    factors f, or the (m, 8, 8) stack of the side that ``sides`` selects.
+# Per side, the chart arguments (group._chart_trig order) that its partial
+# product holds at zero: a, c, phi and b in Q, alpha, gamma and beta in Q'.
+_HELD = ((2, 3, 4, 5, 7), (0, 1, 6))
 
-    The prefixes P[i + 1] = P[i] @ f[i] and suffixes S[6 - i] = f[6 - i] @
-    S[7 - i] advance in one stacked product per step: z[:, :, i] holds
-    [[P[i], f[6 - i]], [f[i], S[7 - i]]], and the product of its rows is
-    the diagonal of z[:, :, i + 1].
+# Tr(l_k X l_g X^dag) / 2, the l_k part of the sandwich of l_g by X, is
+# entry (k, g) of _PROJECT @ kron(X, conj X) @ _SANDWICHED: the columns of
+# _SANDWICHED are l1, l2, l3, l5 and l8 flattened, the rows of _PROJECT
+# the eight l_k^T / 2 flattened.
+_SANDWICHED = LAMBDA[[0, 1, 2, 4, 7]].reshape(5, 9).T.copy()
+_PROJECT = LAMBDA.conj().reshape(8, 9) / 2
+
+# Per side, the angles (x, y) of the SU(2) columns W(x, y) that b or c holds
+# as they are and of those that combine Ad(Q) or Ad(Q'^dag) of l1, l2, l3,
+# doubled, and the columns of b or c they fill.  The right ones are the left
+# ones at negated angles, in reversed order: their columns run backwards.
+_PAIRS = np.array([[[0, 1], [4, 5]], [[6, 5], [2, 1]]])
+_DOUBLED = np.array([2.0, -2.0])[:, None, None]
+_SPANS = ((slice(0, 3), slice(4, 7)), (slice(6, 3, -1), slice(2, None, -1)))
+_E8 = np.eye(8)[7]
+
+
+def _put_partial_product(out: np.ndarray, cos, sin, side: int) -> None:
+    """Write Q (side 0) or Q' (side 1) into the complex (m, 3, 3) ``out``,
+    from the cosines and sines of the nine chart arguments: (9, m) columns,
+    or lists of Python floats for m = 1, with the same bits
+    (:func:`group._chart_entries`)."""
+    cos, sin = list(cos), list(sin)
+    for k in _HELD[side]:
+        cos[k], sin[k] = 1.0, 0.0
+    out.view(float).reshape(len(out), 18).T[...] = np.array(_chart_entries(cos, sin)).reshape(18, -1)
+
+
+def _su2_columns(t: np.ndarray) -> np.ndarray:
+    """W(x, y) of each doubled angle pair t[..., :] = (2x, 2y), as (..., 3, 3).
+
+    Its columns e3, (sin 2x, cos 2x, 0) and (-cos 2x sin 2y, sin 2x sin 2y,
+    cos 2y) are the l1, l2, l3 rows of the left coefficients of
+    exp(i l3 x) exp(i l2 y) exp(i l3 z) along x, y and z.
     """
-    m = f.shape[1]
-    z = np.empty((2, 2, 8, m, 3, 3), dtype=complex)
-    chain = z.reshape(4, 8, m, 3, 3)[::3]       # chain[:, i] = (P[i], S[7-i])
-    z[1, 0] = f
-    z[0, 1, :7] = f[6::-1]
-    z[0, 0, 0] = IDENTITY3
-    z[1, 1, 0] = f[7]
-    for i in range(7):
-        np.matmul(z[0, sides, i], z[1, sides, i], out=chain[sides, i + 1])
-    if sides != LEFT:       # S^dag replaces the factors beside P
-        np.conjugate(chain[1, ::-1].swapaxes(-1, -2), out=z[0, 1])
-    x = z[0, sides]
-    e = expand_hermitian((x @ _GENS) @ _dagger(x))      # e[..., j, r, k] is b[r, k, j]
-    return e.swapaxes(-3, -2).swapaxes(-2, -1)
+    c, s = np.cos(t), np.sin(t)
+    w = np.zeros(t.shape[:-1] + (3, 3))
+    w[..., 2, 0] = 1.0
+    w[..., 0, 1], w[..., 1, 1] = s[..., 0], c[..., 0]
+    w[..., 0, 2] = -c[..., 0] * s[..., 1]
+    w[..., 1, 2] = s[..., 0] * s[..., 1]
+    w[..., 2, 2] = c[..., 1]
+    return w
+
+
+def _coeff_block(rows: np.ndarray, sides=BOTH) -> np.ndarray:
+    """The (2, m, 8, 8) stack (b, c) of an (m, 8) block of points, or the
+    (m, 8, 8) stack of the side that ``sides`` selects: b is W(alpha, beta),
+    Ad(Q) l5, Ad(Q) l1..l3 times W(a, b), Ad(Q) l8, column block by column
+    block, and c its mirror image with Ad(Q'^dag) (module docstring)."""
+    m = len(rows)
+    keep = sides if sides == BOTH else slice(sides, sides + 1)
+    cos, sin = _chart_trig(rows)
+    if m == 1:          # Python floats: the bits of a column, in less time
+        cos, sin = cos[:, 0].tolist(), sin[:, 0].tolist()
+    z = np.empty((2, m, 3, 3), dtype=complex)
+    if sides != RIGHT:
+        _put_partial_product(z[0], cos, sin, 0)
+    if sides != LEFT:
+        _put_partial_product(z[1], cos, sin, 1)
+        z[1] = _dagger(z[1])
+    z = z[keep]
+    kron = (z[..., :, None, :, None] * z.conj()[..., None, :, None, :]).reshape(z.shape[:2] + (9, 9))
+    adj = (_PROJECT @ kron @ _SANDWICHED).real         # adj[s, :, :, g]: Ad(z) of generator g
+    w = _su2_columns(rows[:, _PAIRS[keep]] * _DOUBLED[keep])
+    out = np.zeros((2, m, 8, 8))
+    for i, side in enumerate(range(2)[keep]):
+        f, (fixed, applied) = out[side], _SPANS[side]
+        f[:, :3, fixed] = w[:, i, 0]
+        f[:, :, applied] = adj[i, ..., :3] @ w[:, i, 1]
+        f[:, :, 3] = adj[i, ..., 3]
+        f[:, :, 7] = adj[i, ..., 4] if side == LEFT else _E8
+    return out[sides]
 
 
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
@@ -108,11 +165,11 @@ def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
     the leading axis for one side."""
     rows = p.reshape(-1, 8)
     if len(rows) <= _BLOCK:
-        out = _coeff_block(_factors(rows), sides)
+        out = _coeff_block(rows, sides)
     else:
         out = np.empty((2, len(rows), 8, 8))[sides]     # a side not selected is never touched
-        for i, f in _factor_blocks(rows):
-            out[..., i:i + _BLOCK, :, :] = _coeff_block(f, sides)
+        for i in range(0, len(rows), _BLOCK):
+            out[..., i:i + _BLOCK, :, :] = _coeff_block(rows[i:i + _BLOCK], sides)
     return out if p.ndim == 2 else out[..., 0, :, :]
 
 

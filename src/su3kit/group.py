@@ -108,7 +108,7 @@ def _check_finite(p: np.ndarray) -> None:
     """Raise ValueError if a chart point, or any row of an (n, 8) batch of
     them, holds a NaN or an infinity; for a batch, name the first bad row."""
     if p.ndim == 1:
-        if not np.isfinite(p).all():
+        if not all(map(math.isfinite, p.tolist())):     # cheaper than a ufunc on 8 floats
             raise ValueError("chart angles must be finite")
         return
     rows = np.flatnonzero(~np.isfinite(p).all(axis=1))
@@ -207,16 +207,10 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
     out = np.empty((len(p), 3, 3), dtype=complex)
     flat = out.view(float).reshape(len(p), 18)
     for i in range(0, len(p), 2048):        # bounds the ~100 temporaries to ~1.5 MB
-        x = p[i:i + 2048].T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
-        flat[i:i + 2048].T[...] = _chart_entries(np.cos(x), np.sin(x))
+        flat[i:i + 2048].T[...] = _chart_entries(*_chart_trig(p[i:i + 2048]))
     return out
 
 
-# The eight chart factors with the entries that do not depend on the angle:
-# the zeros, and the 1 on the diagonal of each l3, l2 and l5 factor.
-_FACTOR_TEMPLATE = np.zeros((8, 1, 3, 3), dtype=complex)
-_FACTOR_TEMPLATE[[0, 1, 2, 4, 5, 6], 0, 2, 2] = 1.0
-_FACTOR_TEMPLATE[3, 0, 1, 1] = 1.0
 # The nine trig arguments of a point are t[_ARG_COORDS] * _ARG_MUL / _ARG_DIV:
 # the l3 angles, the two l8 angles t / sqrt(3) and (-2 t) / sqrt(3) (the
 # association exp_generator uses), then the l2, l2 and l5 rotation angles.
@@ -225,66 +219,11 @@ _ARG_MUL = np.array([1.0, 1, 1, 1, 1, -2, 1, 1, 1])[:, None]
 _ARG_DIV = np.array([1.0, 1, 1, 1, SQRT3, SQRT3, 1, 1, 1])[:, None]
 
 
-def _factor_entries():
-    """(factor, row, float column) of each entry _factors fills, and the row
-    of ``[cos; sin; -sin]`` of the nine arguments that holds its value.
-
-    An entry (r, c) of a complex 3x3 matrix is the floats (r, 2c) and
-    (r, 2c + 1) of its float view: real and imaginary part.
-    """
-    entries = []
-    cos, sin, nsin = 0, 9, 18
-
-    def put(f, r, c, re, im=None):
-        entries.append((f, r, 2 * c, re))
-        if im is not None:
-            entries.append((f, r, 2 * c + 1, im))
-
-    for k, f in enumerate((0, 2, 4, 6)):         # l3: diag(w, conj(w), 1)
-        put(f, 0, 0, cos + k, sin + k)
-        put(f, 1, 1, cos + k, nsin + k)
-    for r, k in ((0, 4), (1, 4), (2, 5)):       # l8: diag(w, w, w')
-        put(7, r, r, cos + k, sin + k)
-    for k, (f, j) in enumerate(((1, 1), (5, 1), (3, 2)), start=6):
-        put(f, 0, 0, cos + k)                   # l2 and l5: rotation in the (0, j) plane
-        put(f, 0, j, sin + k)
-        put(f, j, 0, nsin + k)
-        put(f, j, j, cos + k)
-    return np.array(entries).T
-
-
-*_FACTOR_SLOTS, _FACTOR_VALUES = _factor_entries()
-
-
-def _factors(p: np.ndarray) -> np.ndarray:
-    """The eight chart factors of each row of an (n, 8) array, as (8, n, 3, 3).
-
-    ``_factors(p)[j, m]`` equals ``exp_generator(FACTOR_GENERATORS[j], p[m, j])``
-    bit for bit, so stacked products of these factors reproduce the
-    per-point matrix products exactly.
-    """
-    x = np.asarray(p, dtype=float).T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
-    n = x.shape[1]
-    trig = np.empty((3, 9, n))                  # cos, sin and -sin of the arguments
-    np.cos(x, out=trig[0])
-    np.negative(np.sin(x, out=trig[1]), out=trig[2])
-    out = _FACTOR_TEMPLATE.copy() if n == 1 else np.repeat(_FACTOR_TEMPLATE, n, axis=1)
-    fac, row, col = _FACTOR_SLOTS
-    out.view(float)[fac, :, row, col] = trig.reshape(27, n)[_FACTOR_VALUES]
-    return out
-
-
-# Rows per block of _factor_blocks.  It bounds the memory of the factor
-# stacks and of the products made from them at any batch size: a block's
-# factors take 0.15 MB, and the cartan kernel on both sides about 1.8 MB.
-_BLOCK = 128
-
-
-def _factor_blocks(p: np.ndarray):
-    """(first row, chart factors) of each block of ``_BLOCK`` rows of an
-    (n, 8) array, the factors as :func:`_factors` returns them."""
-    for i in range(0, len(p), _BLOCK):
-        yield i, _factors(p[i:i + _BLOCK])
+def _chart_trig(p: np.ndarray):
+    """Cosines and sines of the nine chart arguments of each row of an
+    (m, 8) array, as two (9, m) arrays in :func:`_chart_entries` order."""
+    x = p.T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
+    return np.cos(x), np.sin(x)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent numerical oracles used by the tests.
 
 Deliberately separate from the library code paths they check: a generic
-scaling-and-squaring matrix exponential, central finite differences, and a
+scaling-and-squaring matrix exponential, central finite differences, the
+Maurer-Cartan coefficients from the chain of chart factors, and a
 Kolmogorov-Smirnov uniformity test.
 """
 
@@ -33,6 +34,28 @@ def central_difference(f, p: np.ndarray, j: int, h: float = 1e-6):
     pp[j] += h
     pm[j] -= h
     return (f(pp) - f(pm)) / (2 * h)
+
+
+def chain_coeffs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, c) of one chart point from the product of its eight factors.
+
+    Column j of b is the Gell-Mann projection of P l_g P^dag, P the product
+    of the factors left of factor j and l_g its generator; column j of c is
+    that of S^dag l_g S, S the product of factor j and those right of it.
+    """
+    from su3kit.algebra import LAMBDA
+    from su3kit.group import FACTOR_GENERATORS, exp_generator
+
+    gens = [LAMBDA[k - 1] for k in FACTOR_GENERATORS]
+    factors = [exp_generator(k, t) for k, t in zip(FACTOR_GENERATORS, p)]
+    b, c = np.empty((8, 8)), np.empty((8, 8))
+    prefix = suffix = np.eye(3, dtype=complex)
+    for j in range(8):
+        b[:, j] = np.einsum('ab,kba->k', prefix @ gens[j] @ prefix.conj().T, LAMBDA).real / 2
+        prefix = prefix @ factors[j]
+        suffix = factors[7 - j] @ suffix
+        c[:, 7 - j] = np.einsum('ab,kba->k', suffix.conj().T @ gens[7 - j] @ suffix, LAMBDA).real / 2
+    return b, c
 
 
 def ks_uniform_pvalue(x: np.ndarray) -> float:

@@ -73,35 +73,6 @@ def test_compose_equals_left_to_right_product_of_factors():
         np.testing.assert_allclose(compose(p), d, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257])
-def test_factors_equal_exp_generator(n):
-    # compare values, not bytes: at an angle of -0.0 the l3 phases' imaginary
-    # parts may differ in the sign of zero
-    rng = np.random.default_rng(36)
-    pts = rng.uniform(-1e3, 1e3, (n, 8)) * 10.0 ** -rng.integers(0, 4, (n, 8))
-    pts[0, ::2] = 0.0
-    pts[0, 1::2] = -0.0
-    f = group._factors(pts)
-    assert f.shape == (8, n, 3, 3)
-    for j, k in enumerate(group.FACTOR_GENERATORS):
-        for m in range(n):
-            ref = exp_generator(k, pts[m, j])
-            assert np.array_equal(f[j, m].real, ref.real) and np.array_equal(f[j, m].imag, ref.imag)
-
-
-def test_one_and_two_row_factors_equal_rows_of_a_batch():
-    # one row takes a copy of the factor template, more rows np.repeat of it
-    rng = np.random.default_rng(37)
-    pts = rng.uniform(-1e3, 1e3, (6, 8)) * 10.0 ** -rng.integers(0, 4, (6, 8))
-    pts[2, ::2] = 0.0
-    pts[2, 1::2] = -0.0
-    pts[3] = -pts[2]
-    batch = group._factors(pts)
-    for rows in (slice(k, k + n) for n in (1, 2) for k in range(6 - n + 1)):
-        f = group._factors(pts[rows])
-        assert f.shape == batch[:, rows].shape and f.tobytes() == batch[:, rows].tobytes(), rows
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compose_rejects_non_finite_angles(bad):
     p = np.full(8, 0.3)
@@ -234,7 +205,6 @@ def test_compose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("compose must not call this")
 
-    monkeypatch.setattr(group, "_factors", forbidden)
     monkeypatch.setattr(np, "matmul", forbidden)
     assert group.compose_batch(pts).tobytes() == batch.tobytes()
     for p, d in zip(pts, batch):
@@ -457,14 +427,12 @@ def test_decompose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("decompose must not call this")
 
-    for name in ("_factors", "_factor_blocks"):
-        monkeypatch.setattr(group, name, forbidden)
-    angles, flags = decompose(mats)
-    assert angles.tobytes() == stacked[0].tobytes() and flags == stacked[1]
-    # one matrix: no 3x3 product, conjugate transpose or LAPACK determinant either
+    # no 3x3 product, conjugate transpose or LAPACK determinant
     monkeypatch.setattr(group, "_dagger", forbidden)
     monkeypatch.setattr(np, "matmul", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
+    angles, flags = decompose(mats)
+    assert angles.tobytes() == stacked[0].tobytes() and flags == stacked[1]
     for u, (single, single_flags) in zip(mats, expected):
         got, got_flags = decompose(u)
         assert got == single and got_flags == single_flags

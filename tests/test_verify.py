@@ -66,16 +66,23 @@ def full_checks(seed):
 ORTH_STARTS = range(0, 100_000, measure._CHUNK)      # at the full level
 
 
-@pytest.mark.parametrize("seed", (124, 3))
+# catalogued misses (bench/worker.py): the closure residuals sit near their
+# bound (1e-5), so these seeds watch the bits the Maurer-Cartan kernel moves
+CLOSURES = ["cartan.closure_left_plus_C", "cartan.closure_right_minus_C",
+            "cartan.left_right_commute"]
+SEED_MISSES = {124: ["measure.orthogonality_4sigma"], 77: CLOSURES,
+               95: ["cartan.closure_right_minus_C"]}
+
+
+@pytest.mark.parametrize("seed", (124, 3, 77, 95))
 def test_full_checks_are_bit_identical_on_one_cpu_and_two(monkeypatch, seed):
     results = {}
     for cpus in (1, 2):
         monkeypatch.setattr(measure, "_usable_cpus", lambda: cpus)
         results[cpus] = full_checks(seed)
     assert results[1] == results[2]
-    # seed 124 is a catalogued orthogonality miss (bench/worker.py)
     failed = [name for name, _, passed, _ in results[2] if not passed]
-    assert failed == (["measure.orthogonality_4sigma"] if seed == 124 else [])
+    assert failed == SEED_MISSES.get(seed, [])
 
 
 def test_a_failing_check_stops_and_joins_the_orthogonality_helper(monkeypatch):
