@@ -26,13 +26,17 @@ stack of their per-point results.  Each of them but
 kernel (``_coeff_stacks``), one point being a batch of one row.  It follows
 the nesting D = U(alpha, beta, gamma) exp(i l5 theta) V(a, b, c)
 exp(i l8 phi) of two SU(2) blocks (the generalized Euler angles of Tilma &
-Sudarshan, J. Phys. A 35, 10467 (2002)).  With the partial products
-Q = D(alpha, beta, gamma, theta, 0, 0, 0, 0) and Q' = D(0, 0, 0, theta, a,
-b, c, phi), b's theta and phi columns are Ad(Q) l5 and Ad(Q) l8, its a, b, c
-columns Ad(Q) of V's own columns, and its alpha, beta, gamma columns U's
-own, both closed forms on l1, l2, l3.  c mirrors it with Ad(Q'^dag).  A
-point thus takes two closed-form chart products (``group._chart_entries``)
-and five sandwiches a side, and no product chain.  The one-point
+Sudarshan, J. Phys. A 35, 10467 (2002)).  With Q = U exp(i l5 theta) and
+Q' = exp(i l5 theta) V exp(i l8 phi), b's theta and phi columns are Ad(Q) l5
+and Ad(Q) l8, its a, b, c columns Ad(Q) of V's own columns, its alpha, beta,
+gamma columns U's own; c mirrors it with Ad(Q'^dag).  Each Ad column is a
+closed form in U's entries A = cos(beta) e^(i (alpha + gamma)) and
+B = sin(beta) e^(i (alpha - gamma)) and in theta (``_images``); the right
+side reads it at (-c, -b, -a) and -theta, its doublet rows turned by
+exp(i sqrt(3) phi).  A point thus takes nine cosines and sines and a few
+hundred real products and sums (``_coeff_entries``), on Python floats row
+by row for one point and small blocks, on numpy columns otherwise, with the
+same bits: no chart product, sandwich or projection.  The one-point
 ``left_coeffs`` keeps the factor-by-factor loop as the reference, whose
 eight ``exp_generator`` calls the benchmark's tracer test counts; the
 kernel agrees with it to a few units in the last place.
@@ -52,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LAMBDA, expand_hermitian
-from .group import (ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_entries, _chart_trig,
-                    _check_finite, _dagger, _haar_density, exp_generator)
+from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_trig,
+                    _check_finite, _haar_density, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -73,103 +77,123 @@ def _points(angles) -> np.ndarray:
     return p
 
 
-# index of the kernel's side axis that selects b alone, c alone, or both
-LEFT, RIGHT, BOTH = 0, 1, slice(0, 2)
+# index of the kernel's side axis that selects b alone, c alone, or both;
+# _REDUCED selects b with its c column made (c - cos 2b a) / sin 2b
+LEFT, RIGHT, BOTH, _REDUCED = 0, 1, slice(0, 2), 2
 
 # Rows per block of _coeff_stacks.  It bounds the kernel's transient memory
-# at any batch size: about 0.9 MB a block on both sides.
-_BLOCK = 128
+# at any batch size: about 0.8 MB a block on both sides.
+_BLOCK = 256
 
-# Per side, the chart arguments (group._chart_trig order) that its partial
-# product holds at zero: a, c, phi and b in Q, alpha, gamma and beta in Q'.
-_HELD = ((2, 3, 4, 5, 7), (0, 1, 6))
-
-# Tr(l_k X l_g X^dag) / 2, the l_k part of the sandwich of l_g by X, is
-# entry (k, g) of _PROJECT @ kron(X, conj X) @ _SANDWICHED: the columns of
-# _SANDWICHED are l1, l2, l3, l5 and l8 flattened, the rows of _PROJECT
-# the eight l_k^T / 2 flattened.
-_SANDWICHED = LAMBDA[[0, 1, 2, 4, 7]].reshape(5, 9).T.copy()
-_PROJECT = LAMBDA.conj().reshape(8, 9) / 2
-
-# Per side, the angles (x, y) of the SU(2) columns W(x, y) that b or c holds
-# as they are and of those that combine Ad(Q) or Ad(Q'^dag) of l1, l2, l3,
-# doubled, and the columns of b or c they fill.  The right ones are the left
-# ones at negated angles, in reversed order: their columns run backwards.
-_PAIRS = np.array([[[0, 1], [4, 5]], [[6, 5], [2, 1]]])
-_DOUBLED = np.array([2.0, -2.0])[:, None, None]
-_SPANS = ((slice(0, 3), slice(4, 7)), (slice(6, 3, -1), slice(2, None, -1)))
-_E8 = np.eye(8)[7]
+# Fewer rows than this go one at a time on Python floats (the same bits): the
+# columns' fixed ~180 us (~90 us on one side) beats ~15 us (~7.5 us) a row from 12.
+_COLUMNS_FROM = 12
 
 
-def _put_partial_product(out: np.ndarray, cos, sin, side: int) -> None:
-    """Write Q (side 0) or Q' (side 1) into the complex (m, 3, 3) ``out``,
-    from the cosines and sines of the nine chart arguments: (9, m) columns,
-    or lists of Python floats for m = 1, with the same bits
-    (:func:`group._chart_entries`)."""
-    cos, sin = list(cos), list(sin)
-    for k in _HELD[side]:
-        cos[k], sin[k] = 1.0, 0.0
-    out.view(float).reshape(len(out), 18).T[...] = np.array(_chart_entries(cos, sin)).reshape(18, -1)
-
-
-def _su2_columns(t: np.ndarray) -> np.ndarray:
-    """W(x, y) of each doubled angle pair t[..., :] = (2x, 2y), as (..., 3, 3).
-
-    Its columns e3, (sin 2x, cos 2x, 0) and (-cos 2x sin 2y, sin 2x sin 2y,
-    cos 2y) are the l1, l2, l3 rows of the left coefficients of
-    exp(i l3 x) exp(i l2 y) exp(i l3 z) along x, y and z.
+def _images(ar, ai, br, bi, ct, st, d):
+    """Ad(X) of l1 and l2 (rows l1..l7), l3 (rows l1..l8) and l5 (rows
+    l4..l7), Ad(U) l3 (rows l1..l3) and sin^2 theta, for X = U exp(i l5 theta):
+    U = [[A, B], [-B*, A*]], A = ar + i ai, B = br + i bi, ``ct``, ``st`` the
+    cosine and sine of theta.  The doublet rows l4..l7 read (A, B, A, B) from
+    the eight reals ``d``; the right side turns the pairs there by e^(-+i psi).
     """
-    c, s = np.cos(t), np.sin(t)
-    w = np.zeros(t.shape[:-1] + (3, 3))
-    w[..., 2, 0] = 1.0
-    w[..., 0, 1], w[..., 1, 1] = s[..., 0], c[..., 0]
-    w[..., 0, 2] = -c[..., 0] * s[..., 1]
-    w[..., 1, 2] = s[..., 0] * s[..., 1]
-    w[..., 2, 2] = c[..., 1]
-    return w
+    aa, ii, bb, jj = ar * ar, ai * ai, br * br, bi * bi
+    p, q, u, v = aa - ii, bb - jj, 2 * (ar * ai), 2 * (br * bi)
+    x, y, z, w = ar * br, ai * bi, ar * bi, ai * br
+    # Ad(U) of l1, l2, l3: rows Re(A^2 - B^2), -Im(A^2 - B^2), 2 Re(A* B);
+    # Im(A^2 + B^2), Re(A^2 + B^2), -2 Im(A* B); -2 Re(AB), 2 Im(AB), |A|^2 - |B|^2
+    r1 = (p - q, v - u, 2 * (x + y))
+    r2 = (u + v, p + q, 2 * (w - z))
+    r3 = (2 * (y - x), 2 * (z + w), (aa + ii) - (bb + jj))
+    a1r, a1i, b1r, b1i, a2r, a2i, b2r, b2i = d
+    ns, ss, k = -st, st * st, st * ct
+    nk, h = -k, 1.0 - 0.5 * ss
+    g1 = (ct * r1[0], ct * r1[1], ct * r1[2], ns * b1r, st * b1i, ns * a2r, ns * a2i)
+    g2 = (ct * r2[0], ct * r2[1], ct * r2[2], st * b1i, st * b1r, ns * a2i, st * a2r)
+    g3 = (h * r3[0], h * r3[1], h * r3[2], nk * a1r, k * a1i, k * b2r, k * b2i, -0.5 * _SQRT3 * ss)
+    g5 = (a1i, a1r, b2i, -b2r)
+    return g1, g2, g3, g5, r3, ss
 
 
-def _coeff_block(rows: np.ndarray, sides=BOTH) -> np.ndarray:
-    """The (2, m, 8, 8) stack (b, c) of an (m, 8) block of points, or the
-    (m, 8, 8) stack of the side that ``sides`` selects: b is W(alpha, beta),
-    Ad(Q) l5, Ad(Q) l1..l3 times W(a, b), Ad(Q) l8, column block by column
-    block, and c its mirror image with Ad(Q'^dag) (module docstring)."""
-    m = len(rows)
-    keep = sides if sides == BOTH else slice(sides, sides + 1)
-    cos, sin = _chart_trig(rows)
-    if m == 1:          # Python floats: the bits of a column, in less time
-        cos, sin = cos[:, 0].tolist(), sin[:, 0].tolist()
-    z = np.empty((2, m, 3, 3), dtype=complex)
+def _su2_entries(cx, sx, cy, sy, cz, sz):
+    """Re A, Im A, Re B, Im B of exp(i l3 x) exp(i l2 y) exp(i l3 z) = [[A, B], [-B*, A*]]."""
+    p, q, r, t = cx * cz, sx * sz, sx * cz, cx * sz
+    return cy * (p - q), cy * (r + t), sy * (p + q), sy * (r - t)
+
+
+def _double(c, s):
+    """(sin 2x, cos 2x) from cos x and sin x."""
+    return 2 * (s * c), c * c - s * s
+
+
+def _coeff_entries(cos, sin, sides, zero, one) -> list:
+    """The 64 entries of b, c or both in turn, column by column, from the
+    :func:`group._chart_trig` cosines and sines as Python floats (one point) or
+    (m,) columns, with the same bits: real products and sums only.  ``zero``
+    and ``one`` are the constant entries, as floats or columns."""
+    cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
+    sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
+    s2be, c2be = _double(cbe, sbe)
+    s2b, c2b = _double(cb, sb)
+    z3 = (zero, zero, zero)
+    out = []
     if sides != RIGHT:
-        _put_partial_product(z[0], cos, sin, 0)
-    if sides != LEFT:
-        _put_partial_product(z[1], cos, sin, 1)
-        z[1] = _dagger(z[1])
-    z = z[keep]
-    kron = (z[..., :, None, :, None] * z.conj()[..., None, :, None, :]).reshape(z.shape[:2] + (9, 9))
-    adj = (_PROJECT @ kron @ _SANDWICHED).real         # adj[s, :, :, g]: Ad(z) of generator g
-    w = _su2_columns(rows[:, _PAIRS[keep]] * _DOUBLED[keep])
-    out = np.zeros((2, m, 8, 8))
-    for i, side in enumerate(range(2)[keep]):
-        f, (fixed, applied) = out[side], _SPANS[side]
-        f[:, :3, fixed] = w[:, i, 0]
-        f[:, :, applied] = adj[i, ..., :3] @ w[:, i, 1]
-        f[:, :, 3] = adj[i, ..., 3]
-        f[:, :, 7] = adj[i, ..., 4] if side == LEFT else _E8
-    return out[sides]
+        s2al, c2al = _double(cal, sal)
+        s2a, c2a = _double(ca, sa)
+        ab = _su2_entries(cal, sal, cbe, sbe, cga, sga)
+        g1, g2, g3, g5, r3, ss = _images(*ab, cth, sth, ab + ab)
+        t = [s2a * y - c2a * x for x, y in zip(g1, g2)]     # (c column - cos 2b g3) / sin 2b
+        if sides == _REDUCED:
+            col_c = [*t, zero]
+        else:
+            col_c = [*[s2b * x + c2b * y for x, y in zip(t, g3)], c2b * g3[7]]
+        out += [zero, zero, one, *z3, zero, zero,                     # alpha, beta, gamma: W
+                s2al, c2al, zero, *z3, zero, zero,
+                -c2al * s2be, s2al * s2be, c2be, *z3, zero, zero,
+                *z3, *g5, zero,                                       # theta: Ad(Q) l5
+                *g3,                                                  # a, b, c: Ad(Q) of W(a, b)
+                *[s2a * x + c2a * y for x, y in zip(g1, g2)], zero,
+                *col_c,
+                *[g3[7] * x for x in r3],                             # phi: Ad(Q) l8
+                *[_SQRT3 * x for x in g3[3:7]], 1.0 - 1.5 * ss]
+    if sides in (RIGHT, BOTH):
+        s2ga, c2ga = _double(cga, sga)
+        s2c, c2c = _double(cc, sc)
+        ar, ai, br, bi = _su2_entries(cc, -sc, cb, -sb, ca, -sa)
+        # e^(i psi) = e^(i phi / sqrt 3) conj(e^(-2i phi / sqrt 3)), psi = sqrt(3) phi
+        cp, sp = cw * cv + sw * sv, sw * cv - cw * sv
+        d = (ar * cp + ai * sp, ai * cp - ar * sp, br * cp + bi * sp, bi * cp - br * sp,
+             ar * cp - ai * sp, ai * cp + ar * sp, br * cp - bi * sp, bi * cp + br * sp)
+        h1, h2, h3, h5, _, _ = _images(ar, ai, br, bi, cth, -sth, d)
+        out += [*[s2be * (c2ga * x + s2ga * y) + c2be * w for x, y, w in zip(h1, h2, h3)],
+                c2be * h3[7],                                         # alpha, beta, gamma:
+                *[c2ga * y - s2ga * x for x, y in zip(h1, h2)], zero,   # Ad(Q'^dag) of W
+                *h3,
+                *z3, *h5, zero,                                       # theta: Ad(Q'^dag) l5
+                c2c * s2b, s2c * s2b, c2b, *z3, zero, zero,           # a, b, c: W(c, b)
+                -s2c, c2c, zero, *z3, zero, zero,
+                zero, zero, one, *z3, zero, zero,
+                zero, zero, zero, *z3, zero, one]                     # phi: e8
+    return out
 
 
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
-    """:func:`_coeff_block` of a point from :func:`_points`, as (2, 8, 8), or
-    of an (n, 8) batch, as (2, n, 8, 8), ``_BLOCK`` rows at a time; without
-    the leading axis for one side."""
+    """The stack (b, c) of a point from :func:`_points`, as (2, 8, 8), or of
+    an (n, 8) batch, as (2, n, 8, 8), ``_BLOCK`` rows at a time; without the
+    leading axis for one side (``sides``)."""
     rows = p.reshape(-1, 8)
-    if len(rows) <= _BLOCK:
-        out = _coeff_block(rows, sides)
-    else:
-        out = np.empty((2, len(rows), 8, 8))[sides]     # a side not selected is never touched
-        for i in range(0, len(rows), _BLOCK):
-            out[..., i:i + _BLOCK, :, :] = _coeff_block(rows[i:i + _BLOCK], sides)
+    out = np.empty((2 if sides == BOTH else 1, len(rows), 8, 8))
+    for i in range(0, len(rows), _BLOCK):
+        cos, sin = _chart_trig(rows[i:i + _BLOCK])
+        block, m = out[:, i:i + _BLOCK], cos.shape[1]
+        if m < _COLUMNS_FROM:
+            entries = [_coeff_entries(c, s, sides, 0.0, 1.0)
+                       for c, s in zip(cos.T.tolist(), sin.T.tolist())]
+            block.transpose(1, 0, 3, 2)[...] = np.array(entries).reshape(m, len(out), 8, 8)
+        else:
+            entries = _coeff_entries(cos, sin, sides, np.zeros(m), np.ones(m))
+            block.transpose(0, 3, 2, 1)[...] = np.array(entries).reshape(len(out), 8, 8, m)
+    out = out if sides == BOTH else out[0]
     return out if p.ndim == 2 else out[..., 0, :, :]
 
 
@@ -292,11 +316,17 @@ def haar_density(angles):
     ``sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta)`` -- the determinant
     route is primary, the closed form serves as its cross-check.  A float
     for one point, an (n,) array for an (n, 8) batch.
+
+    The value is 2 |sin 2b| |det b~|, which equals |det b| / 0.5 because det
+    is alternating: b~ is b with its c column made (c - cos 2b a) / sin 2b.
+    The LU of b itself would lose a relative eps / |sin 2b| near b = 0 or pi/2.
+    Every Ad(Q) column still goes through the LU, so the closed form checks them.
     """
     p = _points(angles)
-    value = np.abs(np.linalg.det(_coeff_stacks(p, LEFT)))
+    rows = p.reshape(-1, 8)
+    value = np.abs(np.linalg.det(_coeff_stacks(rows, _REDUCED)) * np.sin(2 * rows[:, 5]))
     value /= DENSITY_DET_RATIO
-    return float(value) if p.ndim == 1 else value
+    return float(value[0]) if p.ndim == 1 else value
 
 
 def haar_density_closed(angles):

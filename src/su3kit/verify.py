@@ -15,9 +15,9 @@ seeds 0-399 the tightest margins measured are:
 
 * ``cartan.left_defining_relation``: 4.72e-8 against 1e-7 (seed 106);
   its h = 1e-6 central differences are dominated by rounding;
-* the three closure checks, also finite differences: up to 2.6e-5
+* the three closure checks, also finite differences: up to 2.5e-5
   against 1e-5, failing at seeds 77, 95, 105, 283 and 316 (at 95 by
-  1.02e-5); the largest passing value is 9.62e-6 (seed 105);
+  1.03e-5); the largest passing value is 9.65e-6 (seed 105);
 * ``measure.volume_mc_3sigma``: 2.97 sigma against 3 (seed 351);
 * ``measure.orthogonality_4sigma``: up to 4.32 sigma against 4 (seed
   224), failing at seeds 124, 204, 224, 288 and 355; the largest passing

@@ -1,5 +1,10 @@
+import dis
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit import algebra, cartan, group, verify
 from su3kit.measure import sample_haar
@@ -52,7 +57,7 @@ def test_right_coeffs_c_and_phi_columns():
 
 
 def test_kernel_equals_the_factor_chain():
-    # measured up to 7.8e-16 over these points, so 1e-15 leaves a margin of 1.3
+    # measured up to 6.7e-16 over these points, so 1e-15 leaves a margin of 1.5
     rng = np.random.default_rng(42)
     pts = np.concatenate([sample_haar(42, 300), rng.uniform(-10, 10, (300, 8)),
                           rng.uniform(-1e3, 1e3, (300, 8)), near_strata_points(43, 20)])
@@ -204,15 +209,59 @@ def test_frame_matches_individual_constructors():
     # every call runs the stacked kernel but the one-point left_coeffs, the
     # factor-by-factor reference: the kernel agrees with it up to 5.6e-16 over
     # these points (1e-15 leaves a margin of 1.8); c = adjoint(D) b ties the
-    # right side to it
-    for p in np.concatenate([sample_haar(19, 2000), near_strata_points(36, 40)]):
+    # right side to it.  haar_density is 2 |sin 2b| |det b~| (its docstring):
+    # on the Haar points it agrees with |det b| / 0.5 to 1.2e-15 relative
+    # (1e-14 leaves a margin of 8); near a stratum |det b| itself loses up to
+    # eps / d, so there the closed form is the reference (1.3e-14 measured,
+    # 5e-14 leaves a margin of 3.8)
+    haar = sample_haar(19, 2000)
+    for k, p in enumerate(np.concatenate([haar, near_strata_points(36, 40)])):
         fr = cartan.frame(p)
         b = cartan.left_coeffs(p)
         assert np.abs(fr.b_left - b).max() <= 1e-15, p
         assert np.abs(fr.b_right - group.adjoint(group.compose(p)) @ b).max() <= 1e-14, p
         assert same_bits(fr.a_left, cartan.left_fields(p)), p
         assert same_bits(fr.a_right, cartan.right_fields(p)), p
-        assert cartan.haar_density(p) == abs(np.linalg.det(fr.b_left)) / cartan.DENSITY_DET_RATIO, p
+        density = cartan.haar_density(p)
+        if k < len(haar):
+            det = abs(np.linalg.det(fr.b_left)) / cartan.DENSITY_DET_RATIO
+            assert abs(density - det) <= 1e-14 * density, p
+        else:
+            assert abs(density / cartan.haar_density_closed(p) - 1.0) <= 5e-14, p
+
+
+def test_density_near_strata_matches_the_closed_form():
+    # beta, theta and b at 1e-3 .. 1e-12 from 0 and pi/2: the reduced
+    # determinant keeps the relative error at 1.5e-14 or below (largest at
+    # theta -> 0; 2.0e-15 at b), where |det b| / 0.5 read up to 8.8e-6 at b
+    # on the same kind of points; 5e-14 leaves a margin of 3.3
+    pts = near_strata_points(46, 500)
+    err = np.abs(cartan.haar_density(pts) / cartan.haar_density_closed(pts) - 1.0)
+    assert err.max() <= 5e-14, err.reshape(6, 500).max(axis=1)
+
+
+def test_kernel_makes_no_matrix_products_and_no_lapack_calls(monkeypatch):
+    pts = np.concatenate([sample_haar(47, 40), near_strata_points(48, 2)])
+    sides = (cartan.LEFT, cartan.RIGHT, cartan.BOTH, cartan._REDUCED)
+    # 1 and 8 rows go one at a time on Python floats, 52 on columns
+    expected = [cartan._coeff_stacks(pts[:n], s) for n in (1, 8, 52) for s in sides]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel must not call this")
+
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"the kernel must not call np.linalg.{name}")
+
+    monkeypatch.setattr(np, "matmul", forbidden)
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    got = [cartan._coeff_stacks(pts[:n], s) for n in (1, 8, 52) for s in sides]
+    assert all(same_bits(g, e) for g, e in zip(got, expected))
+    # the @ operator reaches the matmul ufunc without the module attribute
+    for fn in (cartan._coeff_stacks, cartan._coeff_entries, cartan._images, cartan._su2_entries,
+               cartan._double, group._chart_trig):
+        assert not [i for i in dis.get_instructions(fn) if i.argrepr in ("@", "@=")], fn
 
 
 @pytest.mark.parametrize("fn, calls", [(cartan.frame, 0), (cartan.haar_density, 0),
@@ -271,19 +320,60 @@ def test_batch_with_one_row_on_a_stratum_raises():
 
 
 def test_blocked_batch_equals_rows_one_at_a_time():
-    # more rows than two blocks of the stacked kernel, so a short last block
-    pts = np.concatenate([sample_haar(37, 2 * cartan._BLOCK - 57), near_strata_points(38, 10)])
-    assert len(pts) == 2 * cartan._BLOCK + 3
-    fr = cartan.frame(pts)
-    density = cartan.haar_density(pts)
-    b, c = cartan.left_coeffs(pts), cartan.right_coeffs(pts)
+    # batches of fewer than _COLUMNS_FROM rows go one at a time on Python
+    # floats, larger ones on columns; more rows than two blocks leave a short
+    # last block
+    every = np.concatenate([sample_haar(37, 2 * cartan._BLOCK - 57), near_strata_points(38, 10)])
+    assert len(every) == 2 * cartan._BLOCK + 3
+    for n in (1, 8, 32, len(every)):
+        pts = every[-n:]
+        fr = cartan.frame(pts)
+        density = cartan.haar_density(pts)
+        b, c = cartan.left_coeffs(pts), cartan.right_coeffs(pts)
+        for k, p in enumerate(pts):
+            one = cartan.frame(p)
+            for name in ("b_left", "a_left", "b_right", "a_right"):
+                assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, n, k)
+            assert same_bits(b[k], cartan.left_forms(p)), (n, k)
+            assert same_bits(c[k], cartan.right_coeffs(p)), (n, k)
+            assert same_bits(density[k], cartan.haar_density(p)), (n, k)
+
+
+@st.composite
+def kernel_points(draw):
+    """A Haar point with some coordinates replaced: by values up to +-1e3, by
+    -0.0 on a torus angle, or on beta, theta and b by 1e-3 .. 1e-12 from 0
+    or pi/2, never on a stratum."""
+    p = sample_haar(draw(st.integers(0, 2 ** 32 - 1)), 1)[0]
+    off_strata = st.floats(-1e3, 1e3).filter(lambda x: abs(math.sin(2 * x)) > 1e-9)
+    for j in range(8):
+        kind = draw(st.sampled_from(("haar", "wide", "zero or near")))
+        if kind == "wide":
+            p[j] = draw(off_strata if j in (1, 3, 5) else st.floats(-1e3, 1e3))
+        elif kind == "zero or near" and j not in (1, 3, 5):
+            p[j] = -0.0
+        elif kind == "zero or near":
+            dist = 10.0 ** -draw(st.floats(3, 12))
+            p[j] = draw(st.sampled_from((dist, np.pi / 2 - dist)))
+    return p
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(kernel_points(), min_size=1, max_size=20))
+def test_one_point_bits_equal_batch_rows_and_the_factor_chain(points):
+    # up to 20 rows: on Python floats below _COLUMNS_FROM rows, on columns above
+    pts = np.array(points)
+    fr, b, c = cartan.frame(pts), cartan.left_coeffs(pts), cartan.right_coeffs(pts)
     for k, p in enumerate(pts):
         one = cartan.frame(p)
         for name in ("b_left", "a_left", "b_right", "a_right"):
-            assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
-        assert same_bits(b[k], cartan.left_forms(p)), k
-        assert same_bits(c[k], cartan.right_coeffs(p)), k
-        assert same_bits(density[k], cartan.haar_density(p)), k
+            assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, p)
+        assert same_bits(c[k], cartan.right_coeffs(p)), p
+        assert same_bits(b[k], one.b_left), p
+        chain_b, chain_c = chain_coeffs(p)
+        assert np.abs(cartan.left_coeffs(p) - chain_b).max() <= 1e-15, p
+        assert np.abs(one.b_left - chain_b).max() <= 1e-15, p
+        assert np.abs(c[k] - chain_c).max() <= 1e-15, p
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
