@@ -33,13 +33,14 @@ gamma columns U's own; c mirrors it with Ad(Q'^dag).  Each Ad column is a
 closed form in U's entries A = cos(beta) e^(i (alpha + gamma)) and
 B = sin(beta) e^(i (alpha - gamma)) and in theta (``_images``); the right
 side reads it at (-c, -b, -a) and -theta, its doublet rows turned by
-exp(i sqrt(3) phi).  A point thus takes nine cosines and sines and a few
-hundred real products and sums (``_coeff_entries``), on Python floats row
-by row for one point and small blocks, on numpy columns otherwise, with the
-same bits: no chart product, sandwich or projection.  The one-point
-``left_coeffs`` keeps the factor-by-factor loop as the reference, whose
-eight ``exp_generator`` calls the benchmark's tracer test counts; the
-kernel agrees with it to a few units in the last place.
+exp(i sqrt(3) phi).  A point thus takes the nine cosines and sines of
+``group._chart_args`` and a few hundred real products and sums
+(``_coeff_entries``, A and B by ``compose``'s ``group._su2_entries``), on
+Python floats row by row for one point and small blocks, on numpy columns
+otherwise, with the same bits: no chart product, sandwich or projection.
+The one-point ``left_coeffs`` keeps the factor-by-factor loop as the
+reference, whose eight ``exp_generator`` calls the benchmark's tracer test
+counts; the kernel agrees with it to a few units in the last place.
 ``closed_form_comparison`` takes the exact fields and forms of all its
 points from one ``frame`` call and evaluates each table on the whole batch.
 It and ``matches_documented_catalogue`` import ``closed_forms`` when called,
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LAMBDA, expand_hermitian
-from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_trig,
-                    _check_finite, _haar_density, exp_generator)
+from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_args, _chart_trig,
+                    _check_finite, _cos_sin, _haar_density, _su2_entries, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -115,12 +116,6 @@ def _images(ar, ai, br, bi, ct, st, d):
     return g1, g2, g3, g5, r3, ss
 
 
-def _su2_entries(cx, sx, cy, sy, cz, sz):
-    """Re A, Im A, Re B, Im B of exp(i l3 x) exp(i l2 y) exp(i l3 z) = [[A, B], [-B*, A*]]."""
-    p, q, r, t = cx * cz, sx * sz, sx * cz, cx * sz
-    return cy * (p - q), cy * (r + t), sy * (p + q), sy * (r - t)
-
-
 def _double(c, s):
     """(sin 2x, cos 2x) from cos x and sin x."""
     return 2 * (s * c), c * c - s * s
@@ -128,8 +123,8 @@ def _double(c, s):
 
 def _coeff_entries(cos, sin, sides, zero, one) -> list:
     """The 64 entries of b, c or both in turn, column by column, from the
-    :func:`group._chart_trig` cosines and sines as Python floats (one point) or
-    (m,) columns, with the same bits: real products and sums only.  ``zero``
+    cosines and sines of :func:`group._chart_args` as Python floats (one point)
+    or (m,) columns, with the same bits: real products and sums only.  ``zero``
     and ``one`` are the constant entries, as floats or columns."""
     cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
     sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
@@ -184,14 +179,14 @@ def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
     rows = p.reshape(-1, 8)
     out = np.empty((2 if sides == BOTH else 1, len(rows), 8, 8))
     for i in range(0, len(rows), _BLOCK):
-        cos, sin = _chart_trig(rows[i:i + _BLOCK])
-        block, m = out[:, i:i + _BLOCK], cos.shape[1]
+        chunk, block = rows[i:i + _BLOCK], out[:, i:i + _BLOCK]
+        m = len(chunk)
         if m < _COLUMNS_FROM:
-            entries = [_coeff_entries(c, s, sides, 0.0, 1.0)
-                       for c, s in zip(cos.T.tolist(), sin.T.tolist())]
+            cos, sin = _cos_sin([_chart_args(*row) for row in chunk.tolist()])
+            entries = [_coeff_entries(c, s, sides, 0.0, 1.0) for c, s in zip(cos, sin)]
             block.transpose(1, 0, 3, 2)[...] = np.array(entries).reshape(m, len(out), 8, 8)
         else:
-            entries = _coeff_entries(cos, sin, sides, np.zeros(m), np.ones(m))
+            entries = _coeff_entries(*_chart_trig(chunk), sides, np.zeros(m), np.ones(m))
             block.transpose(0, 3, 2, 1)[...] = np.array(entries).reshape(len(out), 8, 8, m)
     out = out if sides == BOTH else out[0]
     return out if p.ndim == 2 else out[..., 0, :, :]

@@ -9,7 +9,8 @@ phase       geometric phase of a loop JSON by one of three methods
 verify      run the named invariant suite, exit nonzero on failure
 
 stdout carries machine-readable JSON or CSV only; diagnostics go to stderr.
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 input error (a size that
+does not fit in memory included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -124,12 +125,14 @@ def _cmd_haar(args) -> int:
     from . import measure
     if args.n < 1:
         return _fail(2, "--n must be >= 1")
-    samples = measure.sample_haar(args.seed, args.n)
     try:
+        samples = measure.sample_haar(args.seed, args.n)
         if args.out == "-":
             measure.dump_csv(samples, sys.stdout)
         else:
             measure.dump_csv(samples, args.out)
+    except MemoryError as exc:
+        return _fail(2, f"--n {args.n} does not fit in memory: {exc}")
     except OSError as exc:
         return _fail(3, f"cannot write {args.out}: {exc}")
     return 0
@@ -154,6 +157,8 @@ def _cmd_phase(args) -> int:
             value = _rectangle_phase(loop)
     except ValueError as exc:
         return _fail(2, str(exc))
+    except MemoryError as exc:
+        return _fail(2, f"samples_per_segment does not fit in memory: {exc}")
     _emit({"method": args.method, "phase_rad": value, "samples": n_samples})
     return 0
 

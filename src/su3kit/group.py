@@ -24,6 +24,13 @@ measure; this is verified by the orthogonality and translation-invariance
 tests.  Note the doubled gamma and c ranges: the frequently quoted
 ``[0, pi)`` ranges for all four l3-angles leave the chart covering only a
 quarter of the group and demonstrably break the orthogonality integrals.
+
+Each chart formula (trig arguments, SU(2) block, chart product, and the
+stripping and two angle stages of ``decompose``) is written once, in real
+products and sums in a fixed order, and runs on Python floats for one point
+or matrix and on numpy columns for a batch, with the same bits.  A complex
+product would not: numpy's fuses a multiply and an add where CPython's does
+not.  ``decompose``'s stratum conventions live in its one-matrix path.
 """
 
 from __future__ import annotations
@@ -150,22 +157,40 @@ def exp_generator(k: int, t: float) -> np.ndarray:
     raise ValueError(f"generator index must be in 1..8, got {k}")
 
 
+def _chart_args(alpha, beta, gamma, theta, a, b, c, phi):
+    """The nine trig arguments of a point, as floats or columns: the l3 angles,
+    the l8 angles phi / sqrt 3 and (-2 phi) / sqrt 3 (as exp_generator
+    associates them), then the l2, l2 and l5 rotation angles."""
+    return alpha, gamma, a, c, phi / _SQRT3, -2 * phi / _SQRT3, beta, b, theta
+
+
+def _cos_sin(values):
+    """Cosines and sines of (lists of) Python floats as two such lists, by numpy's
+    ufuncs: the bits of the column path, which math.cos and math.sin may miss."""
+    x = np.array(values)
+    return np.cos(x).tolist(), np.sin(x).tolist()
+
+
+def _su2_entries(cx, sx, cy, sy, cz, sz):
+    """Re A, Im A, Re B, Im B of exp(i l3 x) exp(i l2 y) exp(i l3 z) = [[A, B], [-B*, A*]]."""
+    p, q, r, t = cx * cz, sx * sz, sx * cz, cx * sz
+    return cy * (p - q), cy * (r + t), sy * (p + q), sy * (r - t)
+
+
 def _chart_entries(cos, sin):
     """The chart product D as the 18 reals of its float view, row by row.
 
-    ``cos`` and ``sin`` hold those of the nine arguments in ``_ARG_COORDS``
-    order (alpha, gamma, a, c, phi / sqrt 3, (-2 phi) / sqrt 3, beta, b,
-    theta).  Python floats give one matrix and columns a batch, with the same
-    bits: real products and sums, as in :func:`_strip_left`.  The factors
-    left of exp(i l5 theta) are [[A, B], [-B*, A*]] with A = cos(beta)
-    e^(i (alpha + gamma)), B = sin(beta) e^(i (alpha - gamma)); those right
-    of it [[E, G], [-H, F]] with E, F = cos(b) e^(+-i (a + c)) w and G, H =
-    sin(b) e^(+-i (a - c)) w, w = e^(i phi / sqrt 3), and e^(-2i phi / sqrt 3).
+    ``cos`` and ``sin`` hold those of the nine :func:`_chart_args`; Python
+    floats give one matrix and columns a batch.  The factors left of
+    exp(i l5 theta) are the :func:`_su2_entries` block [[A, B], [-B*, A*]],
+    A = cos(beta) e^(i (alpha + gamma)), B = sin(beta) e^(i (alpha - gamma));
+    those right of it [[E, G], [-H, F]] with E, F = cos(b) e^(+-i (a + c)) w
+    and G, H = sin(b) e^(+-i (a - c)) w, w = e^(i phi / sqrt 3), and
+    e^(-2i phi / sqrt 3).
     """
     cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
     sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
-    x, y, z, t = cal * cga, sal * sga, sal * cga, cal * sga
-    ar, ai, br, bi = cbe * (x - y), cbe * (z + t), sbe * (x + y), sbe * (z - t)
+    ar, ai, br, bi = _su2_entries(cal, sal, cbe, sbe, cga, sga)
     x, y, z, t = ca * cc, sa * sc, sa * cc, ca * sc
     pr, pi, qr, qi = x - y, z + t, x + y, z - t             # e^(i (a + c)), e^(i (a - c))
     wr, wi = cb * cw, cb * sw
@@ -191,9 +216,8 @@ def _chart_entries(cos, sin):
 def compose(angles) -> np.ndarray:
     """Chart coordinates -> SU(3) matrix (the ordered 8-factor product), in
     closed form (:func:`_chart_entries` on Python floats)."""
-    alpha, beta, gamma, theta, a, b, c, phi = _angles_array(angles).tolist()
-    x = np.array([alpha, gamma, a, c, phi / _SQRT3, -2 * phi / _SQRT3, beta, b, theta])
-    return np.array(_chart_entries(np.cos(x).tolist(), np.sin(x).tolist())).view(complex).reshape(3, 3)
+    cos, sin = _cos_sin(_chart_args(*_angles_array(angles).tolist()))
+    return np.array(_chart_entries(cos, sin)).view(complex).reshape(3, 3)
 
 
 def compose_batch(points: np.ndarray) -> np.ndarray:
@@ -211,18 +235,10 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
     return out
 
 
-# The nine trig arguments of a point are t[_ARG_COORDS] * _ARG_MUL / _ARG_DIV:
-# the l3 angles, the two l8 angles t / sqrt(3) and (-2 t) / sqrt(3) (the
-# association exp_generator uses), then the l2, l2 and l5 rotation angles.
-_ARG_COORDS = np.array([0, 2, 4, 6, 7, 7, 1, 5, 3])
-_ARG_MUL = np.array([1.0, 1, 1, 1, 1, -2, 1, 1, 1])[:, None]
-_ARG_DIV = np.array([1.0, 1, 1, 1, SQRT3, SQRT3, 1, 1, 1])[:, None]
-
-
 def _chart_trig(p: np.ndarray):
     """Cosines and sines of the nine chart arguments of each row of an
-    (m, 8) array, as two (9, m) arrays in :func:`_chart_entries` order."""
-    x = p.T[_ARG_COORDS] * _ARG_MUL / _ARG_DIV
+    (m, 8) array, as two (9, m) arrays in :func:`_chart_args` order."""
+    x = np.array(_chart_args(*p.T))
     return np.cos(x), np.sin(x)
 
 
@@ -344,10 +360,7 @@ def _strip_left(cos, sin, re, im):
 
     ``cos`` and ``sin`` hold the cosines and sines of (alpha + gamma,
     alpha - gamma, beta, theta), and ``re[i][k]``, ``im[i][k]`` the parts of
-    u[i, k].  Given Python floats it strips one matrix, given columns over a
-    stack it strips them all, and both give the same bits: the arithmetic is
-    real products and sums in a fixed order.  A complex product would not
-    be, since numpy's fuses a multiply and an add where CPython's does not.
+    u[i, k], as Python floats for one matrix or columns for a stack.
     """
     cs, cd, cb, ct = cos
     ss, sd, sb, st = sin
@@ -373,7 +386,8 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     stripping those factors leaves an embedded U(2) element whose SU(2)
     part yields (a, b, c).  The stripping reads three entries, in closed
     form (:func:`_strip_left`), with no chart factors or matrix products.
-    All angles land in the canonical ranges.
+    All angles land in the canonical ranges.  A stack decomposes its stratum
+    rows one at a time, so each row equals the one-matrix result bit for bit.
 
     Parameters
     ----------
@@ -402,10 +416,37 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     assert_group_element(u, tol)
     if u.ndim == 3:
         return _decompose_stack(u)
-    # Python floats from here on, but the moduli of psi, every arctan2 and
-    # the cosines and sines stay numpy ufuncs, as in the stack path
-    # (np.angle is arctan2(imag, real)): abs(), math.atan2 and cmath.phase
-    # differ from them in the last bit.
+    angles, flags = _decompose_one(u)
+    return EulerAngles(*angles), flags
+
+
+def _left_pair(arg0, arg1, arg2):
+    """alpha + gamma, alpha - gamma, alpha and gamma off the strata, as floats or
+    columns, from arg psi_0, arg(-psi_1) and arg psi_2 of psi = u[:, 2]."""
+    phi_pre = (_SQRT3 / 2.0) * ((-arg2) % _TAU)     # phi as psi_2 sees it
+    shift = 2.0 * phi_pre / _SQRT3
+    s1 = arg0 + shift
+    d1 = -(arg1 + shift)
+    alpha = ((s1 + d1) / 2.0) % math.pi
+    return s1, d1, alpha, (s1 - alpha) % _TAU
+
+
+def _right_pair(arg22, s2, d2):
+    """phi, a + c, a - c, a and c off the strata, as floats or columns, from
+    the phases of the :func:`_strip_left` entries [2, 2], [0, 0] and [0, 1]."""
+    phi = (_SQRT3 / 2.0) * ((-arg22) % _TAU)
+    # the l8 factor adds phi / sqrt(3) to the phases of the first row
+    s2 = s2 - phi / _SQRT3
+    d2 = d2 - phi / _SQRT3
+    a = ((s2 + d2) / 2.0) % math.pi
+    return phi, s2, d2, a, (s2 - a) % _TAU
+
+
+def _decompose_one(u: np.ndarray):
+    """The eight angles, as a list of Python floats, and the stratum flags of
+    one admitted matrix.  The only copy of the stratum conventions."""
+    # Python floats, but numpy's ufuncs for the moduli of psi and every
+    # arctan2, as on columns: abs(), math.atan2 and cmath.phase may differ.
     flags: list[str] = []
     re, im = u.real.tolist(), u.imag.tolist()
     m1, m2, m3 = np.abs(u[:, 2]).tolist()
@@ -416,43 +457,28 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
 
     if stheta <= _STRATUM_TOL:
         # theta = 0: the whole left SU(2) block is gauge; fold into (a, b, c)
-        theta = 0.0
-        alpha = beta = gamma = 0.0
+        theta = alpha = beta = gamma = 0.0
         flags.append("theta=0")
     else:
         if m3 <= _STRATUM_TOL:
             # theta = pi/2: phi is unseen by the third column; the (a, phi)
-            # gauge direction lets the residual block absorb it
-            theta = math.pi / 2
-            phi_pre = 0.0
+            # gauge direction lets the residual block absorb it (arg2 = 0
+            # sets phi_pre = 0)
+            theta, arg2 = math.pi / 2, 0.0
             flags.append("theta=pi/2")
-        else:
-            phi_pre = (_SQRT3 / 2.0) * ((-arg2) % _TAU)
-        shift = 2.0 * phi_pre / _SQRT3
+        s1, d1, alpha, gamma = _left_pair(arg0, arg1, arg2)
         if m2 <= _STRATUM_TOL:
-            beta = 0.0
-            alpha = 0.0
-            gamma = (arg0 + shift) % _TAU
+            beta, alpha, gamma = 0.0, 0.0, s1 % _TAU
             flags.append("beta=0")
         elif m1 <= _STRATUM_TOL:
-            beta = math.pi / 2
-            alpha = 0.0
-            gamma = (arg1 + shift) % _TAU
+            beta, alpha, gamma = math.pi / 2, 0.0, (-d1) % _TAU
             flags.append("beta=pi/2")
-        else:
-            s1 = arg0 + shift                   # alpha + gamma
-            d1 = -(arg1 + shift)                # alpha - gamma
-            alpha = ((s1 + d1) / 2.0) % math.pi
-            gamma = (s1 - alpha) % _TAU
 
-    x = np.array([alpha + gamma, alpha - gamma, beta, theta])
-    (x0, y0), (x1, y1), (x2, y2) = _strip_left(np.cos(x).tolist(), np.sin(x).tolist(), re, im)
+    cos, sin = _cos_sin([alpha + gamma, alpha - gamma, beta, theta])
+    (x0, y0), (x1, y1), (x2, y2) = _strip_left(cos, sin, re, im)
     cb, sb = abs(complex(x0, y0)), abs(complex(x1, y1))     # libm hypot, as np.hypot
     arg22, b, s2, d2 = np.arctan2([y2, sb, y0, y1], [x2, cb, x0, x1]).tolist()
-    phi = (_SQRT3 / 2.0) * ((-arg22) % _TAU)
-    # the l8 factor adds phi / sqrt(3) to the phases of the first row
-    s2 -= phi / _SQRT3                      # a + c
-    d2 -= phi / _SQRT3                      # a - c
+    phi, s2, d2, a, c = _right_pair(arg22, s2, d2)
     if sb <= _STRATUM_TOL:
         # b = 0 or pi/2: only one phase combination is defined; the
         # convention folds it into c and zeroes a
@@ -461,57 +487,29 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     elif cb <= _STRATUM_TOL:
         a, b, c = 0.0, math.pi / 2, (-d2) % _TAU
         flags.append("b=pi/2")
-    else:
-        a = ((s2 + d2) / 2.0) % math.pi
-        c = (s2 - a) % _TAU
-
-    angles = EulerAngles(alpha, beta, gamma, theta, a, b, c, phi)
-    return angles, flags
+    return [alpha, beta, gamma, theta, a, b, c, phi], flags
 
 
 def _decompose_stack(u: np.ndarray):
-    """:func:`decompose` of an (n, 3, 3) stack of admitted matrices.
-
-    The per-matrix arithmetic on whole columns: each stratum branch of the
-    one-matrix code is a row mask, and :func:`_strip_left` strips every
-    matrix at once on columns of real and imaginary parts.
-    """
-    tau = 2 * np.pi
+    """:func:`decompose` of an (n, 3, 3) stack of admitted matrices: the stages
+    of :func:`_decompose_one` on columns, with its bits.  A row with a modulus
+    of psi or a stripped modulus at or below the stratum tolerance is redone
+    by :func:`_decompose_one`; the others have no flags."""
     psi = u[:, :, 2]
-    m1, m2, m3 = np.abs(psi).T
-    stheta = np.hypot(m1, m2)
-    theta0 = stheta <= _STRATUM_TOL
-    theta_half = ~theta0 & (m3 <= _STRATUM_TOL)
-    beta0 = ~theta0 & (m2 <= _STRATUM_TOL)
-    beta_half = ~theta0 & ~beta0 & (m1 <= _STRATUM_TOL)
-    generic = ~(theta0 | beta0 | beta_half)
-
-    theta = np.select([theta0, theta_half], [0.0, np.pi / 2], np.arctan2(stheta, m3))
-    phi_pre = np.where(theta0 | theta_half, 0.0,
-                       (SQRT3 / 2.0) * ((-np.angle(psi[:, 2])) % tau))
-    shift = 2.0 * phi_pre / SQRT3
-    s1 = np.angle(psi[:, 0]) + shift                # alpha + gamma
-    d1 = np.angle(-psi[:, 1]) + shift               # gamma - alpha
-    alpha = np.where(generic, ((s1 - d1) / 2.0) % np.pi, 0.0)
-    gamma = np.select([generic, beta0, beta_half], [(s1 - alpha) % tau, s1 % tau, d1 % tau], 0.0)
-    beta = np.select([theta0 | beta0, beta_half], [0.0, np.pi / 2], np.arctan2(m2, m1))
-
+    m1, m2, m3 = mod = np.abs(psi).T
+    theta, beta, arg0, arg1, arg2 = np.arctan2(
+        [np.hypot(m1, m2), m2, psi[:, 0].imag, -psi[:, 1].imag, psi[:, 2].imag],
+        [m3, m1, psi[:, 0].real, -psi[:, 1].real, psi[:, 2].real])
+    _, _, alpha, gamma = _left_pair(arg0, arg1, arg2)
     x = np.stack([alpha + gamma, alpha - gamma, beta, theta])
     cols = u.transpose(1, 2, 0)                     # cols[i][k] is u[:, i, k]
     (x0, y0), (x1, y1), (x2, y2) = _strip_left(np.cos(x), np.sin(x), cols.real, cols.imag)
     cb, sb = np.hypot(x0, y0), np.hypot(x1, y1)
-    phi = (SQRT3 / 2.0) * ((-np.arctan2(y2, x2)) % tau)
-    s2 = np.arctan2(y0, x0) - phi / SQRT3           # a + c
-    d2 = np.arctan2(y1, x1) - phi / SQRT3           # a - c
-    b0 = sb <= _STRATUM_TOL
-    b_half = ~b0 & (cb <= _STRATUM_TOL)
-    a = np.where(b0 | b_half, 0.0, ((s2 + d2) / 2.0) % np.pi)
-    c = np.select([b0, b_half], [s2 % tau, (-d2) % tau], (s2 - a) % tau)
-    b = np.select([b0, b_half], [0.0, np.pi / 2], np.arctan2(sb, cb))
-
+    arg22, b, s2, d2 = np.arctan2([y2, sb, y0, y1], [x2, cb, x0, x1])
+    phi, _, _, a, c = _right_pair(arg22, s2, d2)
+    angles = np.stack([alpha, beta, gamma, theta, a, b, c, phi], axis=1)
     flags: list[list[str]] = [[] for _ in range(len(u))]
-    for name, rows in (("theta=0", theta0), ("theta=pi/2", theta_half), ("beta=0", beta0),
-                       ("beta=pi/2", beta_half), ("b=0", b0), ("b=pi/2", b_half)):
-        for i in np.flatnonzero(rows):
-            flags[i].append(name)
-    return np.stack([alpha, beta, gamma, theta, a, b, c, phi], axis=1), flags
+    near = (mod.min(axis=0) <= _STRATUM_TOL) | (np.minimum(cb, sb) <= _STRATUM_TOL)
+    for i in np.flatnonzero(near):
+        angles[i], flags[i] = _decompose_one(u[i])
+    return angles, flags

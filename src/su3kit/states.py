@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import IDENTITY3, LAMBDA, SQRT3, expand_hermitian, star
-from .group import _angles_array, _dagger, compose
+from .group import _dagger, compose
 
 
 @dataclass(frozen=True)
@@ -87,4 +87,4 @@ def psi_of(angles) -> np.ndarray:
     ``(cos(beta) sin(theta), sin(beta) sin(theta), cos(theta))`` and the
     overall third-component phase is ``exp(-2 i phi / sqrt(3))``.
     """
-    return compose(_angles_array(angles))[:, 2]
+    return compose(angles)[:, 2]

@@ -2,11 +2,14 @@
 
 Deliberately separate from the library code paths they check: a generic
 scaling-and-squaring matrix exponential, central finite differences, the
-Maurer-Cartan coefficients from the chain of chart factors, and a
-Kolmogorov-Smirnov uniformity test.
+Maurer-Cartan coefficients from the chain of chart factors, a
+Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products.
 """
 
 from __future__ import annotations
+
+import dis
+import types
 
 import numpy as np
 
@@ -81,3 +84,17 @@ def ks_two_sample_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     lam = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d
     k = np.arange(1, 101)
     return float(2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * (k * lam) ** 2)))
+
+
+def matrix_products(fn) -> list:
+    """The ``@`` and ``@=`` operations in the bytecode of fn and of the
+    functions nested in it.  The operator reaches numpy's matmul ufunc
+    without the ``np.matmul`` attribute, so replacing that attribute does
+    not ban it."""
+    code = getattr(fn, "__code__", fn)
+    found = [i for i in dis.get_instructions(code)
+             if i.argrepr in ("@", "@=") or "MATRIX_MULTIPLY" in i.opname]
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            found += matrix_products(const)
+    return found

@@ -136,6 +136,22 @@ def test_haar_write_failure_exit_3(capsys):
     assert code == 3
 
 
+def test_sizes_that_do_not_fit_in_memory_exit_2(tmp_path, capsys):
+    # 10**15 rows or samples need petabytes, so numpy refuses them at once
+    # without allocating anything
+    code, out, err = run_cli(capsys, "haar", "--n", str(10 ** 15))
+    assert code == 2 and out == "" and err.count("\n") == 1 and "--n" in err
+    corners = [[0.0] * 8 for _ in range(5)]
+    for w, (th, ga) in zip(corners, [(0, 0), (0.5, 0), (0.5, 1), (0, 1), (0, 0)]):
+        w[3], w[2] = th, ga
+    loop_file = tmp_path / "rect.json"
+    loop_file.write_text(json.dumps({"waypoints": corners, "samples_per_segment": 10 ** 15}))
+    for method in ("connection", "pancharatnam", "curvature"):
+        code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file), "--method", method)
+        assert code == 2 and out == "" and err.count("\n") == 1, method
+        assert "samples_per_segment" in err, method
+
+
 def test_phase_methods_on_gamma_circle(tmp_path, capsys):
     loop = {
         "waypoints": [[0, 0, 0, np.pi / 4, 0, 0, 0, 0],

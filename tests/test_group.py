@@ -6,7 +6,7 @@ import pytest
 from su3kit import algebra, group
 from su3kit.group import EulerAngles, compose, decompose, exp_generator
 
-from oracles import expm_taylor
+from oracles import expm_taylor, matrix_products
 
 SQ3 = np.sqrt(3.0)
 
@@ -209,6 +209,10 @@ def test_compose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
     assert group.compose_batch(pts).tobytes() == batch.tobytes()
     for p, d in zip(pts, batch):
         assert compose(p).tobytes() == d.tobytes()
+    # the @ operator reaches the matmul ufunc without the module attribute
+    for fn in (compose, group.compose_batch, group._chart_entries, group._chart_args,
+               group._chart_trig, group._cos_sin, group._su2_entries):
+        assert not matrix_products(fn), fn
 
 
 def test_compose_batch_rejects_wrong_shape():
@@ -328,20 +332,21 @@ STRATUM_POINTS = (
 
 
 def test_decompose_stack_matches_per_matrix_calls():
-    mats = np.concatenate([group.random_su3(200, np.random.default_rng(13)),
-                           group.compose_batch(np.array(STRATUM_POINTS)),
-                           np.eye(3)[None]])
-    angles, flags = decompose(mats)
-    assert angles.shape == (len(mats), 8) and len(flags) == len(mats)
-    assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
+    # off the strata the stack runs the one-matrix arithmetic on columns, and
+    # a stratum row is redone one matrix at a time: the bytes are equal
+    strata = np.concatenate([group.compose_batch(np.array(STRATUM_POINTS)), np.eye(3)[None]])
+    haar = group.random_su3(200, np.random.default_rng(13))
     seen = set()
-    for u, row, row_flags in zip(mats, angles, flags):
-        single, single_flags = decompose(u)
-        assert row_flags == single_flags
-        seen.update(row_flags)
-        for x, y, period in zip(row, single.as_array(), PERIODS):
-            gap = abs(x - y) if period is None else abs((x - y + period / 2) % period - period / 2)
-            assert gap <= 1e-14
+    for mats in (np.concatenate([haar, strata]), strata):
+        angles, flags = decompose(mats)
+        assert angles.shape == (len(mats), 8) and len(flags) == len(mats)
+        assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
+        for u, row, row_flags in zip(mats, angles, flags):
+            single, single_flags = decompose(u)
+            assert row_flags == single_flags
+            assert row.tobytes() == single.as_array().tobytes()
+            seen.update(row_flags)
+    assert all(decompose(strata)[1])
     assert seen == {"theta=0", "theta=pi/2", "beta=0", "beta=pi/2", "b=0", "b=pi/2"}
 
 
@@ -436,6 +441,10 @@ def test_decompose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
     for u, (single, single_flags) in zip(mats, expected):
         got, got_flags = decompose(u)
         assert got == single and got_flags == single_flags
+    # the @ operator reaches the matmul ufunc without the module attribute
+    for fn in (decompose, group._decompose_one, group._decompose_stack, group._left_pair,
+               group._right_pair, group._strip_left, group._cos_sin):
+        assert not matrix_products(fn), fn
 
 
 def stacked_residuals(mats):
