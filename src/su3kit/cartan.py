@@ -18,12 +18,12 @@ Everything else is linear algebra on b and c:
 * invariant one-forms ``omega^l = -i b[l, k] dx^k`` (dual to the fields);
 * the Haar density from |det b|.
 
-``left_coeffs``, ``right_coeffs``, ``left_fields``, ``right_fields``,
-``left_forms``, ``right_forms``, ``frame``, ``haar_density`` and
-``haar_density_closed`` also take an (n, 8) array of points and return the
-stack of their per-point results.  Each of them but
-``haar_density_closed`` and the one-point ``left_coeffs`` runs one stacked
-kernel (``_coeff_stacks``), one point being a batch of one row.  It follows
+Every public function here reads its points with ``group._points``, so an
+(n, 8) batch gives the stack of the per-point results.  All but
+``haar_density_closed`` and the one-point ``left_coeffs`` run one stacked
+kernel (``_coeff_stacks``), one point being a batch of one row; the fields,
+forms and frames reach it through ``_coeffs``, which first refuses points
+where b is singular, and take A = (b^T)^-1 in ``_fields`` alone.  It follows
 the nesting D = U(alpha, beta, gamma) exp(i l5 theta) V(a, b, c)
 exp(i l8 phi) of two SU(2) blocks (the generalized Euler angles of Tilma &
 Sudarshan, J. Phys. A 35, 10467 (2002)).  With Q = U exp(i l5 theta) and
@@ -41,10 +41,9 @@ otherwise, with the same bits: no chart product, sandwich or projection.
 The one-point ``left_coeffs`` keeps the factor-by-factor loop as the
 reference, whose eight ``exp_generator`` calls the benchmark's tracer test
 counts; the kernel agrees with it to a few units in the last place.
-``closed_form_comparison`` takes the exact fields and forms of all its
-points from one ``frame`` call and evaluates each table on the whole batch.
-It and ``matches_documented_catalogue`` import ``closed_forms`` when called,
-so a caller of the frames and densities alone never loads the tables.
+``closed_form_comparison`` evaluates each table on its whole batch against
+one ``frame`` call.  It and ``matches_documented_catalogue`` import
+``closed_forms`` only when called.
 
 Rows of every 8x8 matrix here are algebra indices (1..8), columns are chart
 coordinates in the order (alpha, beta, gamma, theta, a, b, c, phi).
@@ -57,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LAMBDA, expand_hermitian
-from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, EulerAngles, _chart_args, _chart_trig,
-                    _check_finite, _cos_sin, _haar_density, _su2_entries, exp_generator)
+from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, _chart_args, _chart_trig, _cos_sin,
+                    _haar_density, _points, _su2_entries, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -69,18 +68,9 @@ class DegenerateChartError(ValueError):
     """Raised when fields/forms are requested on a degenerate stratum."""
 
 
-def _points(angles) -> np.ndarray:
-    """One finite chart point as (8,), or an (n, 8) batch of them, as floats."""
-    p = angles.as_array() if isinstance(angles, EulerAngles) else np.asarray(angles, dtype=float)
-    if p.shape != (8,) and (p.ndim != 2 or p.shape[1] != 8):
-        raise ValueError("expected an EulerAngles, 8 reals or an (n, 8) array of chart points")
-    _check_finite(p)
-    return p
-
-
-# index of the kernel's side axis that selects b alone, c alone, or both;
-# _REDUCED selects b with its c column made (c - cos 2b a) / sin 2b
-LEFT, RIGHT, BOTH, _REDUCED = 0, 1, slice(0, 2), 2
+# what the kernel computes: b alone, c alone, both, or b with its c column
+# made (c - cos 2b a) / sin 2b
+LEFT, RIGHT, BOTH, _REDUCED = "left", "right", "both", "reduced"
 
 # Rows per block of _coeff_stacks.  It bounds the kernel's transient memory
 # at any batch size: about 0.8 MB a block on both sides.
@@ -173,7 +163,7 @@ def _coeff_entries(cos, sin, sides, zero, one) -> list:
 
 
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
-    """The stack (b, c) of a point from :func:`_points`, as (2, 8, 8), or of
+    """The stack (b, c) of a point from ``group._points``, as (2, 8, 8), or of
     an (n, 8) batch, as (2, n, 8, 8), ``_BLOCK`` rows at a time; without the
     leading axis for one side (``sides``)."""
     rows = p.reshape(-1, 8)
@@ -238,6 +228,17 @@ def _check_nondegenerate(p: np.ndarray) -> None:
                 f"chart is degenerate{where}: Haar density factor {name} vanishes")
 
 
+def _coeffs(p: np.ndarray, sides=BOTH) -> np.ndarray:
+    """Refuses points where b is singular, then :func:`_coeff_stacks`: the one checked path."""
+    _check_nondegenerate(p)
+    return _coeff_stacks(p, sides)
+
+
+def _fields(b: np.ndarray) -> np.ndarray:
+    """The field coefficients A = (b^T)^-1 of b, or of each matrix of a stack."""
+    return np.linalg.inv(b.swapaxes(-1, -2))
+
+
 def left_fields(angles) -> np.ndarray:
     """Coefficients A of the left invariant fields, Lambda_i = i A[i, j] d_j.
 
@@ -246,16 +247,12 @@ def left_fields(angles) -> np.ndarray:
     DegenerateChartError
         On strata where the Haar density vanishes and b is singular.
     """
-    p = _points(angles)
-    _check_nondegenerate(p)
-    return np.linalg.inv(_coeff_stacks(p, LEFT).swapaxes(-1, -2))
+    return _fields(_coeffs(_points(angles), LEFT))
 
 
 def right_fields(angles) -> np.ndarray:
     """Coefficients of the right invariant fields, Lambda^r_i = i A[i, j] d_j."""
-    p = _points(angles)
-    _check_nondegenerate(p)
-    return np.linalg.inv(_coeff_stacks(p, RIGHT).swapaxes(-1, -2))
+    return _fields(_coeffs(_points(angles), RIGHT))
 
 
 def left_forms(angles) -> np.ndarray:
@@ -263,16 +260,12 @@ def left_forms(angles) -> np.ndarray:
 
     Dual to :func:`left_fields` by construction: ``B @ A.T = identity``.
     """
-    p = _points(angles)
-    _check_nondegenerate(p)
-    return _coeff_stacks(p, LEFT)
+    return _coeffs(_points(angles), LEFT)
 
 
 def right_forms(angles) -> np.ndarray:
     """Coefficients of the right invariant forms, omega^l_r = -i C[l, k] dx^k."""
-    p = _points(angles)
-    _check_nondegenerate(p)
-    return _coeff_stacks(p, RIGHT)
+    return _coeffs(_points(angles), RIGHT)
 
 
 @dataclass(frozen=True)
@@ -290,17 +283,10 @@ class FrameAtPoint:
     a_right: np.ndarray
 
 
-def _coeffs(p: np.ndarray) -> np.ndarray:
-    """The stack (b, c) at a point from :func:`_points`, as (2, 8, 8), or at
-    an (n, 8) batch, as (2, n, 8, 8); refuses points where b is singular."""
-    _check_nondegenerate(p)
-    return _coeff_stacks(p)
-
-
 def frame(angles) -> FrameAtPoint:
     p = _points(angles)
     b = _coeffs(p)
-    a = np.linalg.inv(b.swapaxes(-1, -2))
+    a = _fields(b)
     return FrameAtPoint(point=p, b_left=b[0], a_left=a[0], b_right=b[1], a_right=a[1])
 
 

@@ -31,13 +31,19 @@ products and sums in a fixed order, and runs on Python floats for one point
 or matrix and on numpy columns for a batch, with the same bits.  A complex
 product would not: numpy's fuses a multiply and an add where CPython's does
 not.  ``decompose``'s stratum conventions live in its one-matrix path.
+
+Every function of the package that takes chart points reads them with
+``_points``, which refuses complex, non-numeric, mis-shaped and non-finite
+angles, and magnitudes above half the largest float: -2 phi in the chart
+product and 2 beta, 2 theta and 2 b in the densities must not overflow.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +65,12 @@ _SQRT3 = float(SQRT3)
 _TAU = 2 * math.pi
 _STRATUM_TOL = 1e-12        # magnitudes at or below this are exact zeros
 
+_ANGLE_MAX = np.finfo(float).max / 2
+_TOO_LARGE = f"chart angles must be at most {_ANGLE_MAX:.6g} in magnitude"
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Chart coordinates of an SU(3) element."""
+
+class EulerAngles(NamedTuple):
+    """Chart coordinates of an SU(3) element, a tuple of eight floats."""
 
     alpha: float
     beta: float
@@ -86,8 +94,7 @@ class EulerAngles:
         return cls(*values.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma, self.theta,
-                         self.a, self.b, self.c, self.phi])
+        return np.array(self)
 
     def as_dict(self) -> dict:
         return dict(zip(ANGLE_NAMES, self.as_array().tolist()))
@@ -111,27 +118,36 @@ def _check_count(n, name: str, least: int = 1) -> None:
         raise ValueError(f"need {name} >= {least}")
 
 
-def _check_finite(p: np.ndarray) -> None:
-    """Raise ValueError if a chart point, or any row of an (n, 8) batch of
-    them, holds a NaN or an infinity; for a batch, name the first bad row."""
-    if p.ndim == 1:
-        if not all(map(math.isfinite, p.tolist())):     # cheaper than a ufunc on 8 floats
-            raise ValueError("chart angles must be finite")
-        return
-    rows = np.flatnonzero(~np.isfinite(p).all(axis=1))
-    if rows.size:
-        raise ValueError(f"chart angles must be finite: row {rows[0]} is not")
-
-
-def _angles_array(angles) -> np.ndarray:
-    if isinstance(angles, EulerAngles):
-        arr = angles.as_array()
-    else:
-        arr = np.asarray(angles, dtype=float)
-        if arr.shape != (8,):
-            raise ValueError("expected an EulerAngles or 8 reals")
-    _check_finite(arr)
-    return arr
+def _points(angles, one: bool = False) -> np.ndarray:
+    """Chart angles as floats, (8,) for one point or (n, 8) for a batch (not
+    if ``one``): the only parser of chart points.  Any other shape, values
+    that are not real numbers, and a NaN, an infinity or a magnitude above
+    ``_ANGLE_MAX`` raise ValueError, naming the first bad row of a batch."""
+    try:
+        p = np.asarray(angles)
+    except (TypeError, ValueError) as exc:          # e.g. a ragged sequence
+        raise ValueError(f"chart angles must be an array of reals: {exc}") from None
+    if p.shape != (8,) and (one or p.ndim != 2 or p.shape[1] != 8):
+        want = "8 reals" if one else "8 reals or an (n, 8) array of them"
+        raise ValueError(f"expected chart angles as {want}, got shape {p.shape}")
+    if p.dtype.char != "d":
+        kind = p.dtype.kind
+        if kind not in "biufO" or kind == "O" and not all(isinstance(x, numbers.Real) for x in p.flat):
+            raise ValueError(f"chart angles must be real numbers, not of dtype {p.dtype}")
+        try:
+            with np.errstate(over="raise"):     # a long double beyond a float's range
+                p = p.astype(float)
+        except (OverflowError, FloatingPointError):     # or an int
+            raise ValueError(_TOO_LARGE) from None
+    # a norm within bounds clears one point cheaply; a NaN or an infinity fails it
+    if p.ndim == 2 or not math.hypot(*p.tolist()) <= _ANGLE_MAX:
+        rows = p.reshape(-1, 8)
+        bad = np.flatnonzero(~(np.abs(rows) <= _ANGLE_MAX).all(axis=1))
+        if bad.size:
+            where = f": row {bad[0]} is not" if p.ndim == 2 else ""
+            finite = np.isfinite(rows[bad[0]]).all()
+            raise ValueError((_TOO_LARGE if finite else "chart angles must be finite") + where)
+    return p
 
 
 def exp_generator(k: int, t: float) -> np.ndarray:
@@ -216,7 +232,7 @@ def _chart_entries(cos, sin):
 def compose(angles) -> np.ndarray:
     """Chart coordinates -> SU(3) matrix (the ordered 8-factor product), in
     closed form (:func:`_chart_entries` on Python floats)."""
-    cos, sin = _cos_sin(_chart_args(*_angles_array(angles).tolist()))
+    cos, sin = _cos_sin(_chart_args(*_points(angles, one=True).tolist()))
     return np.array(_chart_entries(cos, sin)).view(complex).reshape(3, 3)
 
 
@@ -224,10 +240,9 @@ def compose_batch(points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`compose` for an (n, 8) array of chart points:
     :func:`_chart_entries` on columns fills the float view of the result, so
     row k equals ``compose(points[k])`` bit for bit."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 8:
+    p = _points(points)
+    if p.ndim != 2:
         raise ValueError("compose_batch expects an (n, 8) array")
-    _check_finite(p)
     out = np.empty((len(p), 3, 3), dtype=complex)
     flat = out.view(float).reshape(len(p), 18)
     for i in range(0, len(p), 2048):        # bounds the ~100 temporaries to ~1.5 MB

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT3
-from .group import ANGLE_NAMES, _angles_array, _check_count, _check_finite, compose, compose_batch
+from .group import ANGLE_NAMES, _check_count, _points, compose, compose_batch
 
 # chart coordinate indices
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
@@ -53,14 +53,13 @@ class LoopSpec:
     samples_per_segment: int = 256
 
     def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        if w.shape[0] < 2 or w.shape[1] != 8:
+        w = _points(self.waypoints)
+        if w.ndim != 2 or len(w) < 2:
             raise ValueError("LoopSpec needs at least 2 waypoints of 8 angles")
-        _check_finite(w)
         _check_count(self.samples_per_segment, "samples_per_segment")
         # two one-point calls: the bits of compose_batch's rows, without its fixed cost
         residual = np.abs(compose(w[0]) - compose(w[-1])).max()
-        if residual > 1e-10:
+        if not residual <= 1e-10:           # a NaN residual fails too
             raise ValueError(
                 f"loop endpoints differ on the group (residual {residual:.2e}); "
                 "a closed loop must return to its starting element")
@@ -79,7 +78,7 @@ class LoopSpec:
 
 def connection(angles) -> np.ndarray:
     """Connection covector at a point, over (d alpha, ..., d phi)."""
-    return _connection(_angles_array(angles)[None], include_dphi=True)[0]
+    return _connection(_points(angles, one=True)[None], include_dphi=True)[0]
 
 
 def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
@@ -95,7 +94,7 @@ def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
 
 def curvature(angles) -> np.ndarray:
     """Antisymmetric matrix F of two-form components, F[i, j] = F_(xi, xj)."""
-    p = _angles_array(angles)
+    p = _points(angles, one=True)
     f = np.zeros((8, 8))
     for i, j in ((_THETA, _ALPHA), (_BETA, _ALPHA), (_THETA, _GAMMA)):
         f[i, j] = _curvature_component(p[_THETA], p[_BETA], i, j)
@@ -109,11 +108,7 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     unless ``include_dphi`` (it cancels exactly on chart-closed loops).
     Not reduced modulo 2 pi.
     """
-    return _line_integral(loop.sample_points(), include_dphi)
-
-
-def _line_integral(pts: np.ndarray, include_dphi: bool) -> float:
-    """:func:`phase_connection` over a loop's sample points."""
+    pts = loop.sample_points()
     cov = _connection(pts, include_dphi)
     # integrand at t_k is cov . dp/dt; dp is constant per sampling step
     steps = pts[1:] - pts[:-1]
@@ -132,11 +127,7 @@ def phase_pancharatnam(loop: LoopSpec) -> float:
     Multiplying the chain by any smooth single-valued phase leaves the
     result unchanged.
     """
-    return _chain_phase(loop.sample_points())
-
-
-def _chain_phase(pts: np.ndarray) -> float:
-    """:func:`phase_pancharatnam` over a loop's sample points."""
+    pts = loop.sample_points()
     psi = compose_batch(pts)[:, :, 2]
     total = overlap_chain_phase(psi)
     dphi_term = _DPHI * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
@@ -151,6 +142,8 @@ def overlap_chain_phase(psi: np.ndarray) -> float:
     leaves the result invariant.  Consecutive states must overlap by 1e-6.
     """
     psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2 or len(psi) < 2:
+        raise ValueError(f"need an (m, k) array of at least 2 states, got shape {psi.shape}")
     overlaps = np.einsum('mk,mk->m', psi[:-1].conj(), psi[1:])
     small = float(np.abs(overlaps).min())
     if small < _MIN_OVERLAP:
@@ -185,13 +178,16 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     i, j = (_axis_index(ax) for ax in axes)
     if i == j:
         raise ValueError(f"axes must be two different coordinates, got {axes!r}")
-    (x0, x1), (y0, y1) = bounds
-    if not np.isfinite([x0, x1, y0, y1]).all():
-        raise ValueError(f"bounds must be finite, got {bounds!r}")
-    nx, ny = samples
+    try:
+        (x0, x1), (y0, y1) = bounds
+        nx, ny = samples
+        _points((x0, x1, y0, y1) * 2, one=True)     # the bounds are chart angles too
+    except (TypeError, ValueError):
+        raise ValueError(f"bounds must be two pairs of chart angles, samples two counts: "
+                         f"{bounds!r}, {samples!r}") from None
     for n in samples:
         _check_count(n, "samples entries")
-    point = list(_angles_array(base))
+    point = list(_points(base, one=True))
     xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
     point[i], point[j] = xs[:, None], ys[None, :]
     f = np.atleast_2d(_curvature_component(point[_THETA], point[_BETA], i, j))
@@ -209,7 +205,7 @@ def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:
     counterclockwise in the (axes[0], axes[1]) plane."""
     i, j = (_axis_index(ax) for ax in axes)
     (x0, x1), (y0, y1) = bounds
-    corners = np.tile(_angles_array(base), (5, 1))
+    corners = np.tile(_points(base, one=True), (5, 1))
     corners[:, i] = (x0, x1, x1, x0, x0)
     corners[:, j] = (y0, y0, y1, y1, y0)
     return corners

@@ -65,10 +65,12 @@ def project(g: np.ndarray) -> DensityState:
     Raises
     ------
     ValueError
-        If g, or any matrix of a stack, holds a NaN or an infinity; for a
-        stack the message names the first bad row.
+        If g is not a (..., 3, 3) stack or holds a NaN or an infinity; for
+        a stack the message names the first bad row.
     """
     g = np.asarray(g, dtype=complex)
+    if g.shape[-2:] != (3, 3):
+        raise ValueError(f"project expects a 3x3 matrix or a (..., 3, 3) stack, got shape {g.shape}")
     if not np.isfinite(g).all():
         bad = np.argwhere(~np.isfinite(g).all(axis=(-2, -1)))
         where = f" at row {', '.join(map(str, bad[0]))}" if g.ndim > 2 else ""

@@ -136,7 +136,7 @@ def duality(points: np.ndarray) -> float:
 def density_residuals(points: np.ndarray):
     """(spread, left/right) over an (n, 8) batch: max/min - 1 of |det b| over
     the closed-form density, and the largest relative |det b| - |det c|."""
-    b, c = cartan._coeffs(cartan._points(points))
+    b, c = cartan._coeffs(group._points(points))
     det_l, det_r = np.abs(np.linalg.det(b)), np.abs(np.linalg.det(c))
     ratios = det_l / cartan.haar_density_closed(points)
     return (float(ratios.max() / ratios.min() - 1.0),
@@ -161,9 +161,8 @@ def gamma_circle(samples_per_segment):
     w = np.zeros((2, 8))
     w[:, 3] = np.pi / 4
     w[1, 2] = 2 * np.pi
-    pts = phase.LoopSpec(w, samples_per_segment=samples_per_segment).sample_points()
-    return (abs(phase._line_integral(pts, include_dphi=False) - np.pi),
-            abs(phase._chain_phase(pts) - np.pi))
+    loop = phase.LoopSpec(w, samples_per_segment=samples_per_segment)
+    return abs(phase.phase_connection(loop) - np.pi), abs(phase.phase_pancharatnam(loop) - np.pi)
 
 
 def stokes_rectangle(base, bounds, samples, samples_per_segment) -> float:

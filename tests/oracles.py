@@ -3,7 +3,9 @@
 Deliberately separate from the library code paths they check: a generic
 scaling-and-squaring matrix exponential, central finite differences, the
 Maurer-Cartan coefficients from the chain of chart factors, a
-Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products.
+Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products;
+and the table of the public entries that take chart points, which the
+input-contract tests run through.
 """
 
 from __future__ import annotations
@@ -59,6 +61,48 @@ def chain_coeffs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         suffix = factors[7 - j] @ suffix
         c[:, 7 - j] = np.einsum('ab,kba->k', suffix.conj().T @ gens[7 - j] @ suffix, LAMBDA).real / 2
     return b, c
+
+
+def chart_entries() -> list:
+    """Every public entry that takes chart points, as (name, fn, shape, takes):
+    ``fn(p)`` calls it on p, ``shape`` is the shape of its answer for one
+    point (a batch of n rows prepends n), and ``takes`` says whether it takes
+    one point, an (n, 8) batch or both.  A new entry needs one line here."""
+    from su3kit import cartan, group, phase, states
+
+    def frame(p):
+        fr = cartan.frame(p)
+        return np.stack([fr.b_left, fr.a_left, fr.b_right, fr.a_right], axis=-3)
+
+    def loop(w):
+        return phase.LoopSpec(w, samples_per_segment=4).waypoints
+
+    def curvature_base(p):
+        return phase.phase_curvature(p, ("theta", "gamma"), ((0.1, 0.5), (0.2, 0.9)), (4, 4))
+
+    return [("group.compose", group.compose, (3, 3), "one"),
+            ("group.compose_batch", group.compose_batch, (3, 3), "batch"),
+            ("cartan.frame", frame, (4, 8, 8), "both"),
+            ("cartan.haar_density", cartan.haar_density, (), "both"),
+            ("cartan.haar_density_closed", cartan.haar_density_closed, (), "both"),
+            ("cartan.left_coeffs", cartan.left_coeffs, (8, 8), "both"),
+            ("cartan.right_coeffs", cartan.right_coeffs, (8, 8), "both"),
+            ("cartan.left_fields", cartan.left_fields, (8, 8), "both"),
+            ("cartan.right_fields", cartan.right_fields, (8, 8), "both"),
+            ("cartan.left_forms", cartan.left_forms, (8, 8), "both"),
+            ("cartan.right_forms", cartan.right_forms, (8, 8), "both"),
+            ("states.psi_of", states.psi_of, (3,), "one"),
+            ("phase.connection", phase.connection, (8,), "one"),
+            ("phase.curvature", phase.curvature, (8, 8), "one"),
+            ("phase.LoopSpec", loop, (8,), "batch"),
+            ("phase.phase_curvature", curvature_base, (), "one")]
+
+
+def chart_entry_fns(modules: tuple, takes: str) -> list:
+    """The fns of :func:`chart_entries` in these su3kit modules that take
+    ``takes``, "one" point or a "batch"."""
+    return [fn for name, fn, _, kind in chart_entries()
+            if name.split(".")[0] in modules and kind in (takes, "both")]
 
 
 def ks_uniform_pvalue(x: np.ndarray) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from su3kit import algebra, cartan, group, verify
 from su3kit.measure import sample_haar
 
-from oracles import central_difference, chain_coeffs, matrix_products
+from oracles import central_difference, chain_coeffs, chart_entry_fns, matrix_products
 
 SQ3 = np.sqrt(3.0)
 
@@ -379,12 +379,11 @@ def test_one_point_bits_equal_batch_rows_and_the_factor_chain(points):
 def test_non_finite_points_are_rejected(bad):
     p = sample_haar(39, 1)[0]
     p[5] = bad
-    for fn in (cartan.frame, cartan.haar_density, cartan.haar_density_closed,
-               cartan.left_coeffs, cartan.right_coeffs, cartan.left_fields):
+    for fn in chart_entry_fns(("cartan",), "one"):
         with pytest.raises(ValueError, match="finite"):
             fn(p)
     pts = sample_haar(40, 6)
     pts[4, 2] = bad
-    for fn in (cartan.frame, cartan.haar_density, cartan.left_coeffs, cartan.right_forms):
+    for fn in chart_entry_fns(("cartan",), "batch"):
         with pytest.raises(ValueError, match="finite: row 4 "):
             fn(pts)

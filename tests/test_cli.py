@@ -35,6 +35,13 @@ def test_compose_non_finite_angle_exit_2(capsys):
     assert code == 2 and out == ""
 
 
+def test_compose_angle_beyond_half_the_largest_float_exit_2(capsys):
+    # -2 phi would overflow: the angle is refused before any output
+    code, out, err = run_cli(capsys, "compose", *(["0"] * 7), "1e308")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: bad angles: ")
+
+
 def test_compose_accepts_named_angle_json(capsys):
     angles = dict(zip(("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi"),
                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]))
@@ -274,6 +281,18 @@ def test_phase_non_finite_waypoint_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file))
     assert code == 2 and out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("method", ["connection", "pancharatnam", "curvature"])
+def test_phase_waypoint_beyond_half_the_largest_float_exit_2(tmp_path, capsys, method):
+    # a gamma circle at phi = 1e308, above half the largest float: refused
+    # by LoopSpec before any method runs
+    loop_file = tmp_path / "loop.json"
+    waypoints = [[0, 0, 0, np.pi / 4, 0, 0, 0, 1e308], [0, 0, 2 * np.pi, np.pi / 4, 0, 0, 0, 1e308]]
+    loop_file.write_text(json.dumps({"waypoints": waypoints, "samples_per_segment": 8}))
+    code, out, err = run_cli(capsys, "phase", "--loop", str(loop_file), "--method", method)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: bad loop JSON: ")
 
 
 ZERO_ANGLES = dict.fromkeys(("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi"), 0)

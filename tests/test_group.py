@@ -6,7 +6,7 @@ import pytest
 from su3kit import algebra, group
 from su3kit.group import EulerAngles, compose, decompose, exp_generator
 
-from oracles import expm_taylor, matrix_products
+from oracles import chart_entry_fns, expm_taylor, matrix_products
 
 SQ3 = np.sqrt(3.0)
 
@@ -75,16 +75,18 @@ def test_compose_equals_left_to_right_product_of_factors():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compose_rejects_non_finite_angles(bad):
+    # psi_of reads its point through compose
     p = np.full(8, 0.3)
     p[6] = bad
-    with pytest.raises(ValueError, match="finite"):
-        compose(p)
-    with pytest.raises(ValueError, match="finite"):
-        compose(EulerAngles.from_array(p))
+    for fn in chart_entry_fns(("group", "states"), "one"):
+        for point in (p, EulerAngles.from_array(p)):
+            with pytest.raises(ValueError, match="finite"):
+                fn(point)
     batch = np.full((5, 8), 0.3)
     batch[3, 6] = bad
-    with pytest.raises(ValueError, match="finite: row 3 is not"):
-        group.compose_batch(batch)
+    for fn in chart_entry_fns(("group", "states"), "batch"):
+        with pytest.raises(ValueError, match="finite: row 3 is not"):
+            fn(batch)
 
 
 def test_compose_third_column_structure():
@@ -229,6 +231,17 @@ def test_euler_angles_container():
     assert ang.as_dict()["theta"] == 3.0
     with pytest.raises(ValueError):
         EulerAngles.from_array([1.0, 2.0])
+    # a tuple of eight floats, which numpy reads as a point, and a list of
+    # them as a batch
+    ang = EulerAngles(*np.linspace(0.1, 0.8, 8))
+    assert ang == tuple(np.linspace(0.1, 0.8, 8).tolist())
+    assert ang._replace(phi=0.0).phi == 0.0 and ang.phi == 0.8
+    assert np.asarray(ang).tobytes() == ang.as_array().tobytes()
+    pts = np.array([ang, ang._replace(beta=0.3)])
+    assert pts.shape == (2, 8)
+    assert group.compose_batch([ang, ang._replace(beta=0.3)]).tobytes() \
+        == group.compose_batch(pts).tobytes()
+    assert compose(ang).tobytes() == compose(pts[0]).tobytes()
 
 
 def test_decompose_identity_is_all_zero_with_stratum_flag():

@@ -8,7 +8,7 @@ from su3kit import phase, states, verify
 from su3kit.group import ANGLE_NAMES, compose_batch
 from su3kit.measure import sample_haar
 
-from oracles import central_difference
+from oracles import central_difference, chart_entry_fns
 
 SQ3 = np.sqrt(3.0)
 
@@ -103,7 +103,13 @@ def test_loopspec_samples_per_segment_must_be_an_integer():
         .shape == (9, 8)
 
 
-def test_loopspec_validation():
+@pytest.mark.parametrize("psi", [np.zeros((1, 3)), np.zeros((0, 3)), np.zeros(3)])
+def test_overlap_chain_phase_needs_two_states(psi):
+    with pytest.raises(ValueError, match="at least 2 states"):
+        phase.overlap_chain_phase(psi)
+
+
+def test_loopspec_validation(monkeypatch):
     with pytest.raises(ValueError, match="at least 2 waypoints"):
         phase.LoopSpec(np.zeros((1, 8)))
     with pytest.raises(ValueError, match="samples_per_segment"):
@@ -112,6 +118,11 @@ def test_loopspec_validation():
     w[1, 3] = 0.3   # genuinely open path
     with pytest.raises(ValueError, match="closed loop"):
         phase.LoopSpec(w)
+    # a NaN closure residual fails too; no admitted waypoint composes to
+    # NaN, so a stand-in compose does
+    monkeypatch.setattr(phase, "compose", lambda p: np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="closed loop"):
+        phase.LoopSpec(np.zeros((2, 8)))
 
 
 @pytest.mark.parametrize("closes", [True, False])
@@ -121,8 +132,12 @@ def test_loopspec_rejects_non_finite_waypoints(bad, closes):
     w = np.zeros((3, 8))
     w[1, 2] = bad
     w[2, 3] = 0.0 if closes else 0.3
-    with pytest.raises(ValueError, match="finite: row 1 is not"):
-        phase.LoopSpec(w)
+    for fn in chart_entry_fns(("phase",), "batch"):
+        with pytest.raises(ValueError, match="finite: row 1 is not"):
+            fn(w)
+    for fn in chart_entry_fns(("phase",), "one"):
+        with pytest.raises(ValueError, match="finite"):
+            fn(w[1])
 
 
 def test_loopspec_accepts_full_period_windings():
@@ -237,6 +252,13 @@ def test_curvature_rejects_fewer_than_one_sample(samples):
     ("axes", ("theta", "psi")),
     ("bounds", ((0.1, np.nan), (0.2, 1.4))),
     ("bounds", ((0.1, 0.7), (-np.inf, 1.4))),
+    ("bounds", None),
+    ("bounds", ((0.1, 0.7),)),
+    ("bounds", (("a", 0.7), (0.2, 1.4))),
+    ("bounds", ((0.1 + 1j, 0.7), (0.2, 1.4))),
+    ("bounds", ((-1e308, 1e308), (0.2, 1.4))),
+    ("samples", 3),
+    ("samples", (8, 8, 8)),
 ])
 def test_curvature_refuses_bad_arguments(argument, value):
     args = {"base": np.zeros(8), "axes": ("theta", "gamma"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ def test_project_of_a_stack_equals_per_matrix_calls():
             assert isinstance(value, float)
             assert residuals[key].shape == (200,)
             assert abs(residuals[key][k] - value) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (), (4, 3, 2), (3, 3, 1)])
+def test_project_refuses_what_is_not_a_stack_of_3x3_matrices(shape):
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        states.project(np.ones(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
