@@ -15,6 +15,8 @@ Algebra indices are 1-based in the docs and in user-facing arguments
 
 from __future__ import annotations
 
+from numbers import Number
+
 import numpy as np
 
 SQRT3 = np.sqrt(3.0)
@@ -92,6 +94,24 @@ def star(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _TRACE_TOL = 1e-12
 
 
+def _matrices(u, one: bool = False) -> np.ndarray:
+    """The only parser of input matrices: a complex 3x3 array, or a (..., 3, 3) stack unless
+    ``one``.  ValueError for other shapes, ragged input and non-numbers; NaN and inf pass."""
+    try:
+        m = np.asarray(u)
+        if m.dtype.char != "D":
+            kind = m.dtype.kind
+            if kind not in "biufcO" or kind == "O" and not all(isinstance(x, Number) for x in m.flat):
+                raise TypeError(f"not of dtype {m.dtype}")
+            with np.errstate(over="raise"):
+                m = m.astype(complex)
+    except (TypeError, ValueError, ArithmeticError) as exc:   # ragged, or beyond a double's range
+        raise ValueError(f"matrix entries must be numbers: {exc}") from None
+    if m.shape[-2:] != (3, 3) or one and m.ndim != 2:
+        raise ValueError(f"expected a 3x3 matrix{'' if one else ' or a stack'}, got shape {m.shape}")
+    return m
+
+
 def expand(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand a traceless 3x3 matrix in the Gell-Mann basis.
 
@@ -108,25 +128,37 @@ def expand(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (re, im) : pair of (8,) ndarrays
         Real and imaginary parts of the expansion coefficients.  A
         Hermitian input yields ``im = 0``.
+
+    Raises
+    ------
+    ValueError
+        If m is not a 3x3 matrix of numbers, holds a NaN or an infinity, is
+        not traceless, or is so large that a coefficient overflows.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3):
-        raise ValueError("expand expects a 3x3 matrix")
+    m = _matrices(m, one=True)
     if not np.isfinite(m).all():
         raise ValueError("matrix is not finite")
-    tr = np.trace(m)
-    if abs(tr) > _TRACE_TOL:
-        raise ValueError(f"matrix is not traceless: |Tr| = {abs(tr):.3e} exceeds {_TRACE_TOL:.1e}")
-    coeff = np.einsum('ab,kba->k', m, LAMBDA) / 2.0
+    tr = np.abs(sum(m.diagonal().tolist()))     # an overflow is inf, not a warning or an error
+    if tr > _TRACE_TOL:
+        raise ValueError(f"matrix is not traceless: |Tr| = {tr:.3e} exceeds {_TRACE_TOL:.1e}")
+    coeff = np.einsum('ab,kba->k', m, LAMBDA)
+    if not np.isfinite(coeff).all():    # einsum overflows to inf without a warning
+        raise ValueError("matrix is too large to expand: a coefficient overflows")
+    coeff = coeff / 2.0
     return coeff.real.copy(), coeff.imag.copy()
 
 
 def expand_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real coefficients of a Hermitian traceless matrix (fast path, no checks).
+    """Real coefficients of a Hermitian traceless matrix (fast path, neither is checked).
 
     A (..., 3, 3) stack of matrices gives the (..., 8) stack of coefficients.
     """
-    return np.einsum('...ab,kba->...k', np.asarray(m, dtype=complex), LAMBDA).real / 2.0
+    return _hermitian_coeffs(_matrices(m))
+
+
+def _hermitian_coeffs(m: np.ndarray) -> np.ndarray:
+    """:func:`expand_hermitian` of a (..., 3, 3) complex array."""
+    return np.einsum('...ab,kba->...k', m, LAMBDA).real / 2.0
 
 
 def from_coefficients(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:

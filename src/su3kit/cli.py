@@ -8,7 +8,14 @@ haar        deterministic Haar sample CSV
 phase       geometric phase of a loop JSON by one of three methods
 verify      run the named invariant suite, exit nonzero on failure
 
-stdout carries machine-readable JSON or CSV only; diagnostics go to stderr.
+The commands parse no numbers of their own.  Positional angles pass
+through ``float``; JSON values reach the library's parsers unconverted
+(``group._points`` for angles and waypoints, ``algebra._matrices`` for the
+'re' and 'im' blocks of a matrix, ``LoopSpec`` and ``measure.sample_haar``
+for counts), so a JSON string where a number belongs is an input error.
+
+stdout carries machine-readable JSON or CSV only, each written whole or not
+at all; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 input error (a size that
 does not fit in memory included), 3 I/O error.
 """
@@ -25,8 +32,7 @@ import numpy as np
 
 
 def matrix_to_json(u: np.ndarray) -> dict:
-    u = np.asarray(u, dtype=complex)
-    return {"re": u.real.tolist(), "im": u.imag.tolist()}
+    return {"re": np.real(u).tolist(), "im": np.imag(u).tolist()}
 
 
 def _json_object(obj, what: str) -> dict:
@@ -36,30 +42,14 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
-def _floats(value, what: str) -> np.ndarray:
-    """value as a float array; a value that is not numbers raises ValueError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except TypeError as exc:            # e.g. an object where a number belongs
-        raise ValueError(f"{what} must hold numbers: {exc}") from None
-
-
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix of a matrix JSON object, its 're' and 'im' blocks 3x3 each."""
+    from .algebra import _matrices
     obj = _json_object(obj, "matrix")
-    re, im = _floats(obj["re"], "re"), _floats(obj["im"], "im")
-    if re.shape != (3, 3) or im.shape != (3, 3):
-        raise ValueError("matrix JSON must hold 3x3 're' and 'im' blocks")
-    return re + 1j * im
-
-
-def _angles_from_json(obj: dict) -> list:
-    """The eight chart angles of an angles JSON object, by name."""
-    from .group import ANGLE_NAMES
-    obj = _json_object(obj, "angles")
-    values = [_floats(obj[name], name) for name in ANGLE_NAMES]
-    if any(value.ndim for value in values):
-        raise ValueError("each angle must be a number")
-    return [float(value) for value in values]
+    re, im = _matrices(obj["re"], one=True), _matrices(obj["im"], one=True)
+    # 1j * inf has a NaN real part, and complex blocks may sum to inf: decompose refuses both
+    with np.errstate(invalid="ignore", over="ignore"):
+        return re + 1j * im
 
 
 def loop_from_json(obj: dict):
@@ -71,13 +61,12 @@ def loop_from_json(obj: dict):
         raise ValueError(f"'closed' must be true or false, not {json.dumps(closed)}")
     if not closed:
         raise ValueError("phase computation requires a closed loop")
-    return LoopSpec(waypoints=_floats(obj["waypoints"], "waypoints"),
-                    samples_per_segment=obj.get("samples_per_segment", 256))
+    return LoopSpec(obj["waypoints"], obj.get("samples_per_segment", 256))
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, allow_nan=False)    # strict JSON: no NaN
-    sys.stdout.write("\n")
+    # strict JSON (no NaN), built whole first, so a refused value prints nothing
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -88,11 +77,12 @@ def _fail(code: int, message: str) -> int:
 # each _cmd_* imports the layers it runs when it runs, so a one-shot command
 # loads no others
 def _cmd_compose(args) -> int:
-    from .group import compose, unitarity_residual
+    from .group import ANGLE_NAMES, _points, compose, unitarity_residual
     values = args.values
     if args.angles is not None:
         try:
-            values = _angles_from_json(json.loads(args.angles))
+            obj = _json_object(json.loads(args.angles), "angles")
+            values = _points([obj[name] for name in ANGLE_NAMES], one=True)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail(2, f"bad angles JSON: {exc}")
     try:
@@ -123,14 +113,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_haar(args) -> int:
     from . import measure
-    if args.n < 1:
-        return _fail(2, "--n must be >= 1")
     try:
         samples = measure.sample_haar(args.seed, args.n)
         if args.out == "-":
             measure.dump_csv(samples, sys.stdout)
         else:
             measure.dump_csv(samples, args.out)
+    except ValueError as exc:
+        return _fail(2, f"--n {args.n}: {exc}")
     except MemoryError as exc:
         return _fail(2, f"--n {args.n} does not fit in memory: {exc}")
     except OSError as exc:
@@ -245,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compose" and args.angles is None and len(args.values) != 8:
-        return _fail(2, "compose needs --angles JSON or exactly 8 positional radians")
     # a seed keys a Philox stream, whose key is a 128-bit unsigned integer
     if not 0 <= getattr(args, "seed", 0) < 2 ** 128:
         return _fail(2, "--seed must be an integer in [0, 2**128)")

@@ -14,7 +14,7 @@ Row r (0-based) of a "fields" table holds the complex coefficients of
 the complex coefficients of ``(d alpha, ..., d phi)`` in omega^{r+1}.  The
 exact counterparts are ``i * left_fields(p)`` / ``-1j * left_coeffs(p)`` and
 the right-handed analogs.  Each table takes one point, or an (n, 8) batch
-of points for the (n, 8, 8) stack of their tables.
+of points for the (n, 8, 8) stack of their tables, read by ``group._points``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import SQRT3
+from .group import _points
 
 # (table, row, coordinate) triples where the transcribed tables persistently
 # disagree with the exact construction; 1-based rows, coordinate names.
@@ -46,7 +47,7 @@ KNOWN_DEVIATIONS = frozenset(
 
 def fields_left(p) -> np.ndarray:
     """Tabulated left invariant vector fields, one row per Lambda_i."""
-    al, be, ga, th, a, b, c, ph = np.asarray(p, dtype=float).T
+    al, be, ga, th, a, b, c, ph = _points(p).T
     i = 1j
     sin, cos, tan = np.sin, np.cos, np.tan
     cot2b = cos(2 * b) / sin(2 * b)
@@ -122,7 +123,7 @@ def fields_left(p) -> np.ndarray:
 
 def fields_right(p) -> np.ndarray:
     """Tabulated right invariant vector fields, one row per Lambda^r_i."""
-    al, be, ga, th, a, b, c, ph = np.asarray(p, dtype=float).T
+    al, be, ga, th, a, b, c, ph = _points(p).T
     eta = ph / SQRT3
     i = 1j
     sin, cos, tan = np.sin, np.cos, np.tan
@@ -198,7 +199,7 @@ def fields_right(p) -> np.ndarray:
 
 def forms_left(p) -> np.ndarray:
     """Tabulated left invariant one-forms, one row per omega^l."""
-    al, be, ga, th, a, b, c, ph = np.asarray(p, dtype=float).T
+    al, be, ga, th, a, b, c, ph = _points(p).T
     i = 1j
     sin, cos = np.sin, np.cos
     s2t = sin(th) ** 2
@@ -271,7 +272,7 @@ def forms_left(p) -> np.ndarray:
 
 def forms_right(p) -> np.ndarray:
     """Tabulated right invariant one-forms, one row per omega^l_r."""
-    al, be, ga, th, a, b, c, ph = np.asarray(p, dtype=float).T
+    al, be, ga, th, a, b, c, ph = _points(p).T
     eta = ph / SQRT3
     i = 1j
     sin, cos = np.sin, np.cos

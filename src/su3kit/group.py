@@ -36,6 +36,9 @@ Every function of the package that takes chart points reads them with
 ``_points``, which refuses complex, non-numeric, mis-shaped and non-finite
 angles, and magnitudes above half the largest float: -2 phi in the chart
 product and 2 beta, 2 theta and 2 b in the densities must not overflow.
+Every function that takes matrices reads them with ``algebra._matrices``,
+which refuses other shapes, ragged input and values that are not numbers;
+each then judges NaN and infinite entries as it documents.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LAMBDA, SQRT3, expand_hermitian
+from .algebra import LAMBDA, SQRT3, _hermitian_coeffs, _matrices
 
 ANGLE_NAMES = ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")
 
@@ -88,10 +91,7 @@ class EulerAngles(NamedTuple):
 
     @classmethod
     def from_array(cls, values) -> "EulerAngles":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (8,):
-            raise ValueError("EulerAngles.from_array expects 8 values")
-        return cls(*values.tolist())
+        return cls(*_points(values, one=True).tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array(self)
@@ -294,7 +294,11 @@ def unitarity_residual(u: np.ndarray) -> float:
     on and above its diagonal; an entry that overflows makes the residual
     inf or NaN, never a warning.
     """
-    rows = np.asarray(u, dtype=complex).tolist()
+    return _unitarity(_matrices(u, one=True).tolist())
+
+
+def _unitarity(rows) -> float:
+    """:func:`unitarity_residual` of a matrix given as rows of Python complex numbers."""
     if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2])):
         return math.nan
     res = list(map(_cabs, _gram_minus_one(rows)))
@@ -303,7 +307,7 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 def det_residual(u: np.ndarray) -> float:
     """|det u - 1| of a 3x3 matrix, the determinant by cofactors of its first row."""
-    return _cabs(_det_minus_one(np.asarray(u, dtype=complex).tolist()))
+    return _cabs(_det_minus_one(_matrices(u, one=True).tolist()))
 
 
 def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
@@ -314,9 +318,15 @@ def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
     NaN residual fails, as does any other that is not within tol.  A tol
     that is not finite and >= 0 raises ValueError.
     """
+    _check_element(_matrices(u), tol)
+
+
+def _check_element(u: np.ndarray, tol: float) -> None:
+    """:func:`assert_group_element` of a (..., 3, 3) complex array."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    u = np.asarray(u, dtype=complex)
+    if u.ndim > 3:
+        raise ValueError(f"expected a 3x3 matrix or an (n, 3, 3) stack, got shape {u.shape}")
     where = ""
     if u.ndim == 3:
         cols = u.transpose(1, 2, 0)         # cols[i][k] is u[:, i, k]
@@ -329,11 +339,10 @@ def assert_group_element(u: np.ndarray, tol: float = 1e-12) -> None:
             return
         ru, rd, where = ru[bad[0]], rd[bad[0]], f" at row {bad[0]}"
     else:
-        ru = unitarity_residual(u)
+        rows = u.tolist()
+        ru, rd = _unitarity(rows), _cabs(_det_minus_one(rows))
     if not ru <= tol:
         raise ValueError(f"matrix{where} is not unitary: residual {ru:.3e} exceeds {tol:.1e}")
-    if u.ndim == 2:
-        rd = det_residual(u)
     if not rd <= tol:
         raise ValueError(f"determinant{where} differs from 1 by {rd:.3e} (tol {tol:.1e})")
 
@@ -348,9 +357,37 @@ def adjoint(g: np.ndarray) -> np.ndarray:
     ``adjoint(g @ h) = adjoint(h) @ adjoint(g)``.
 
     A (..., 3, 3) stack of elements gives the (..., 8, 8) stack of their R.
+    Anything else, and a matrix with an entry that is not finite or exceeds
+    1e150 in modulus, raise ValueError (see :func:`_check_bounded`).
     """
-    g = np.asarray(g, dtype=complex)[..., None, :, :]
-    return expand_hermitian(g @ LAMBDA @ _dagger(g))
+    g = _matrices(g)
+    _check_bounded(g)
+    g = g[..., None, :, :]
+    return _hermitian_coeffs(g @ LAMBDA @ _dagger(g))
+
+
+_ENTRY_MAX = 1e150      # products of two entries, and sums of a few dozen, stay finite
+
+
+def _check_bounded(g: np.ndarray) -> None:
+    """Raise ValueError unless every entry of a (..., 3, 3) complex array is
+    finite and at most ``_ENTRY_MAX`` in modulus, naming the first bad matrix
+    of a stack: the products in :func:`adjoint` and ``states.project`` then
+    neither overflow nor warn."""
+    if g.ndim == 2:     # one matrix: a Python sum of its 9 moduli is quicker; NaN fails it
+        try:
+            if sum(map(abs, g.ravel().tolist())) <= _ENTRY_MAX:
+                return
+        except OverflowError:               # abs(z) overflows: z is refused below
+            pass
+    mag = np.abs(g)                         # inf, not a warning, where it overflows
+    if mag.max(initial=0.0) <= _ENTRY_MAX:
+        return
+    bad = tuple(np.argwhere(~(mag <= _ENTRY_MAX).all(axis=(-2, -1)))[0])
+    where = f" at row {', '.join(map(str, bad))}" if bad else ""
+    if np.isfinite(g[bad]).all():
+        raise ValueError(f"matrix{where} has an entry above {_ENTRY_MAX:.0e} in modulus")
+    raise ValueError(f"matrix{where} is not finite")
 
 
 def random_su3(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -425,10 +462,8 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
         For an (n, 3, 3) stack, ``angles`` is an (n, 8) array with columns
         in ``ANGLE_NAMES`` order and ``flags`` a list of n such lists.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (3, 3):
-        raise ValueError("decompose expects a 3x3 matrix or an (n, 3, 3) stack")
-    assert_group_element(u, tol)
+    u = _matrices(u)
+    _check_element(u, tol)
     if u.ndim == 3:
         return _decompose_stack(u)
     angles, flags = _decompose_one(u)

@@ -106,14 +106,15 @@ def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
 
     Composite trapezoid on each straight segment; the d phi term is dropped
     unless ``include_dphi`` (it cancels exactly on chart-closed loops).
-    Not reduced modulo 2 pi.
+    Not reduced modulo 2 pi.  Waypoints so far apart that the sum overflows
+    raise ValueError.
     """
     pts = loop.sample_points()
     cov = _connection(pts, include_dphi)
     # integrand at t_k is cov . dp/dt; dp is constant per sampling step
     steps = pts[1:] - pts[:-1]
     vals = 0.5 * np.einsum('mk,mk->m', cov[:-1] + cov[1:], steps)
-    return float(vals.sum())
+    return _finite(vals.sum, "the line integral over these waypoints")
 
 
 def phase_pancharatnam(loop: LoopSpec) -> float:
@@ -146,7 +147,7 @@ def overlap_chain_phase(psi: np.ndarray) -> float:
         raise ValueError(f"need an (m, k) array of at least 2 states, got shape {psi.shape}")
     overlaps = np.einsum('mk,mk->m', psi[:-1].conj(), psi[1:])
     small = float(np.abs(overlaps).min())
-    if small < _MIN_OVERLAP:
+    if not small >= _MIN_OVERLAP:           # a NaN overlap fails too
         raise ValueError(
             f"consecutive states nearly orthogonal (|overlap| = {small:.2e}); "
             "increase samples_per_segment")
@@ -173,7 +174,8 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     Matches :func:`phase_connection` of the boundary loop
     ``_rectangle_corners(base, axes, bounds)``.  The curvature depends on
     theta and beta alone, and each nonzero component on at most one of the
-    two axes, so it is evaluated on that axis only: O(nx + ny) work.
+    two axes, so it is evaluated on that axis only: O(nx + ny) work.  Bounds
+    so wide that the quadrature overflows raise ValueError.
     """
     i, j = (_axis_index(ax) for ax in axes)
     if i == j:
@@ -197,7 +199,16 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
         wx = wx.sum(keepdims=True)
     if f.shape[1] == 1:
         wy = wy.sum(keepdims=True)
-    return float(wx @ f @ wy)
+    return _finite(lambda: wx @ f @ wy, "the curvature integral over these bounds")
+
+
+def _finite(compute, what: str) -> float:
+    """compute() as a float; ValueError, and no warning, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not np.isfinite(value):
+        raise ValueError(f"{what} overflows")
+    return value
 
 
 def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:

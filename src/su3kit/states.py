@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IDENTITY3, LAMBDA, SQRT3, expand_hermitian, star
-from .group import _dagger, compose
+from .algebra import IDENTITY3, LAMBDA, SQRT3, _hermitian_coeffs, _matrices, star
+from .group import _check_bounded, _dagger, compose
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,15 @@ def project(g: np.ndarray) -> DensityState:
     Raises
     ------
     ValueError
-        If g is not a (..., 3, 3) stack or holds a NaN or an infinity; for
-        a stack the message names the first bad row.
+        If g is not a (..., 3, 3) stack of numbers, or holds a NaN, an
+        infinity or an entry above 1e150 in modulus (so that no product
+        overflows); for a stack the message names the first bad row.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.shape[-2:] != (3, 3):
-        raise ValueError(f"project expects a 3x3 matrix or a (..., 3, 3) stack, got shape {g.shape}")
-    if not np.isfinite(g).all():
-        bad = np.argwhere(~np.isfinite(g).all(axis=(-2, -1)))
-        where = f" at row {', '.join(map(str, bad[0]))}" if g.ndim > 2 else ""
-        raise ValueError(f"matrix{where} is not finite")
+    g = _matrices(g)
+    _check_bounded(g)
     psi = g[..., :, 2]
     rho = psi[..., :, None] * psi[..., None, :].conj()
-    n = expand_hermitian((3.0 * rho - IDENTITY3) / SQRT3)
+    n = _hermitian_coeffs((3.0 * rho - IDENTITY3) / SQRT3)
     return DensityState(rho=rho, n=n)
 
 

@@ -4,8 +4,8 @@ Deliberately separate from the library code paths they check: a generic
 scaling-and-squaring matrix exponential, central finite differences, the
 Maurer-Cartan coefficients from the chain of chart factors, a
 Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products;
-and the table of the public entries that take chart points, which the
-input-contract tests run through.
+and the tables of the public entries that take chart points and matrices,
+which the input-contract tests run through.
 """
 
 from __future__ import annotations
@@ -103,6 +103,35 @@ def chart_entry_fns(modules: tuple, takes: str) -> list:
     ``takes``, "one" point or a "batch"."""
     return [fn for name, fn, _, kind in chart_entries()
             if name.split(".")[0] in modules and kind in (takes, "both")]
+
+
+def matrix_entries() -> list:
+    """Every public entry that takes 3x3 matrices, as (name, fn, shape, takes,
+    finite): ``fn(u)`` calls it on u, ``shape`` is the shape of its answer for
+    one matrix (a stack prepends its leading axes; None for an entry that
+    answers None), ``takes`` is "one" matrix, a "stack" of one axis of them or
+    "any" (..., 3, 3) stack, and ``finite`` says whether its answer must be
+    finite (the two residuals and the unchecked expansion measure, and the
+    JSON reader parses).  A new entry needs one line here."""
+    from su3kit import algebra, cli, group, states
+
+    def decompose(u):
+        return np.asarray(group.decompose(u)[0])
+
+    def project(u):
+        st = states.project(u)
+        return np.concatenate([st.rho.reshape(st.rho.shape[:-2] + (9,)), st.n], axis=-1)
+
+    return [("group.decompose", decompose, (8,), "stack", True),
+            ("group.assert_group_element", group.assert_group_element, None, "stack", True),
+            ("group.unitarity_residual", group.unitarity_residual, (), "one", False),
+            ("group.det_residual", group.det_residual, (), "one", False),
+            ("group.adjoint", group.adjoint, (8, 8), "any", True),
+            ("states.project", project, (17,), "any", True),
+            ("algebra.expand", lambda u: np.stack(algebra.expand(u)), (2, 8), "one", True),
+            ("algebra.expand_hermitian", algebra.expand_hermitian, (8,), "any", False),
+            ("cli.matrix_from_json", lambda u: cli.matrix_from_json({"re": u, "im": u}),
+             (3, 3), "one", False)]
 
 
 def ks_uniform_pvalue(x: np.ndarray) -> float:

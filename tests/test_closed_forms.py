@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from su3kit import cartan, closed_forms
 from su3kit.group import ANGLE_NAMES
@@ -18,6 +21,20 @@ def test_tables_on_a_batch_equal_their_rows():
                   closed_forms.forms_left, closed_forms.forms_right):
         rows = np.array([table(q) for q in p])
         np.testing.assert_allclose(table(p), rows, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.full(8, 0.3 + 0.5j), np.full(8, np.nan), ["0.3"] * 8,
+                                 np.full((2, 8), np.inf), np.zeros(7)],
+                         ids=["complex", "nan", "strings", "inf-batch", "seven"])
+def test_tables_read_points_by_the_chart_rule(bad):
+    # a complex point was cut to its real part with a ComplexWarning, and a
+    # NaN point answered with a partly NaN table
+    for table in (closed_forms.fields_left, closed_forms.fields_right,
+                  closed_forms.forms_left, closed_forms.forms_right):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="chart angles"):
+                table(bad)
 
 
 def test_tabulated_left_fields_match_exact_everywhere():

@@ -79,7 +79,7 @@ def test_compose_rejects_non_finite_angles(bad):
     p = np.full(8, 0.3)
     p[6] = bad
     for fn in chart_entry_fns(("group", "states"), "one"):
-        for point in (p, EulerAngles.from_array(p)):
+        for point in (p, EulerAngles(*p)):
             with pytest.raises(ValueError, match="finite"):
                 fn(point)
     batch = np.full((5, 8), 0.3)
@@ -229,8 +229,9 @@ def test_euler_angles_container():
     assert ang.eta == pytest.approx(7.0 / SQ3)
     np.testing.assert_allclose(ang.as_array(), np.arange(8.0))
     assert ang.as_dict()["theta"] == 3.0
-    with pytest.raises(ValueError):
-        EulerAngles.from_array([1.0, 2.0])
+    for bad in ([1.0, 2.0], ["0.1"] * 8, [np.nan] * 8):
+        with pytest.raises(ValueError, match="chart angles"):
+            EulerAngles.from_array(bad)
     # a tuple of eight floats, which numpy reads as a point, and a list of
     # them as a batch
     ang = EulerAngles(*np.linspace(0.1, 0.8, 8))
@@ -546,8 +547,10 @@ def test_decompose_stack_names_the_first_row_off_the_group():
     mats[2] = np.diag([1.0, 1.0, np.exp(0.4j)])
     with pytest.raises(ValueError, match="determinant at row 2"):
         decompose(mats)
-    with pytest.raises(ValueError, match="3x3 matrix or an \\(n, 3, 3\\) stack"):
+    with pytest.raises(ValueError, match="3x3 matrix or a .* got shape \\(2, 2\\)"):
         decompose(np.eye(2))
+    with pytest.raises(ValueError, match="3x3 matrix or an \\(n, 3, 3\\) stack"):
+        decompose(np.tile(np.eye(3), (2, 2, 1, 1)))
 
 
 def test_adjoint_identity_and_lambda3_rotation():

@@ -10,6 +10,8 @@ from su3kit.measure import sample_haar
 
 from oracles import central_difference, chart_entry_fns
 
+HALF_MAX = sys.float_info.max / 2
+
 SQ3 = np.sqrt(3.0)
 
 
@@ -107,6 +109,23 @@ def test_loopspec_samples_per_segment_must_be_an_integer():
 def test_overlap_chain_phase_needs_two_states(psi):
     with pytest.raises(ValueError, match="at least 2 states"):
         phase.overlap_chain_phase(psi)
+
+
+def test_overlap_chain_phase_refuses_nan_states():
+    with pytest.raises(ValueError, match="overlap"):
+        phase.overlap_chain_phase(np.full((3, 3), np.nan))
+
+
+def test_line_integral_refuses_waypoints_whose_sum_overflows():
+    # two admitted waypoints at +-max/2 in beta, gamma and theta: the
+    # trapezoid sum overflows, and the route refuses it without a warning
+    w = np.zeros((4, 8))
+    w[:, 3] = 0.4
+    w[1, 1:4], w[2, 1:4] = HALF_MAX, -HALF_MAX
+    loop = phase.LoopSpec(w, samples_per_segment=1)
+    for include_dphi in (False, True):
+        with pytest.raises(ValueError, match="line integral over these waypoints overflows"):
+            phase.phase_connection(loop, include_dphi=include_dphi)
 
 
 def test_loopspec_validation(monkeypatch):
@@ -259,6 +278,7 @@ def test_curvature_rejects_fewer_than_one_sample(samples):
     ("bounds", ((-1e308, 1e308), (0.2, 1.4))),
     ("samples", 3),
     ("samples", (8, 8, 8)),
+    ("bounds", ((-HALF_MAX, HALF_MAX), (-HALF_MAX, HALF_MAX))),     # the quadrature overflows
 ])
 def test_curvature_refuses_bad_arguments(argument, value):
     args = {"base": np.zeros(8), "axes": ("theta", "gamma"),
