@@ -15,7 +15,7 @@ Algebra indices are 1-based in the docs and in user-facing arguments
 
 from __future__ import annotations
 
-from numbers import Number
+from numbers import Number, Real
 
 import numpy as np
 
@@ -82,34 +82,52 @@ def anticommutator_tensor_check() -> np.ndarray:
 def star(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetric d-tensor product ``(a * b)_i = sqrt(3) d_ijk a_j b_k``.
 
-    Two (..., 8) stacks of vectors give the (..., 8) stack of their products.
+    Two (..., 8) stacks of vectors give the (..., 8) stack of their products;
+    anything else raises ValueError (see :func:`_vectors`).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1:] != (8,) or b.shape[-1:] != (8,):
-        raise ValueError("star expects two 8-component real vectors, or stacks of them")
+    a, b = _vectors(a), _vectors(b)
     return SQRT3 * np.einsum('ijk,...j,...k->...i', D_TENSOR, a, b)
 
 
 _TRACE_TOL = 1e-12
 
 
+def _numbers(values, what: str, real: bool = False) -> np.ndarray:
+    """The rule for numbers of every parser of arrays: values as a complex array, or as a
+    float array if ``real``.  ValueError, naming ``what``, for ragged input, values that are
+    not numbers (or not real ones), and numbers beyond a double's range; NaN and inf pass."""
+    char, kinds, kind_of = ("d", "biufO", Real) if real else ("D", "biufcO", Number)
+    try:
+        m = np.asarray(values)
+        if m.dtype.char != char:
+            kind = m.dtype.kind
+            if kind not in kinds or kind == "O" and not all(isinstance(x, kind_of) for x in m.flat):
+                raise TypeError(f"not of dtype {m.dtype}")
+            with np.errstate(over="raise"):
+                m = m.astype(char)
+    except (TypeError, ValueError, ArithmeticError) as exc:   # ragged, or beyond a double's range
+        raise ValueError(f"{what} must be {'real ' if real else ''}numbers: {exc}") from None
+    return m
+
+
 def _matrices(u, one: bool = False) -> np.ndarray:
     """The only parser of input matrices: a complex 3x3 array, or a (..., 3, 3) stack unless
     ``one``.  ValueError for other shapes, ragged input and non-numbers; NaN and inf pass."""
-    try:
-        m = np.asarray(u)
-        if m.dtype.char != "D":
-            kind = m.dtype.kind
-            if kind not in "biufcO" or kind == "O" and not all(isinstance(x, Number) for x in m.flat):
-                raise TypeError(f"not of dtype {m.dtype}")
-            with np.errstate(over="raise"):
-                m = m.astype(complex)
-    except (TypeError, ValueError, ArithmeticError) as exc:   # ragged, or beyond a double's range
-        raise ValueError(f"matrix entries must be numbers: {exc}") from None
+    m = _numbers(u, "matrix entries")
     if m.shape[-2:] != (3, 3) or one and m.ndim != 2:
         raise ValueError(f"expected a 3x3 matrix{'' if one else ' or a stack'}, got shape {m.shape}")
     return m
+
+
+def _vectors(v, one: bool = False) -> np.ndarray:
+    """The only parser of coefficient vectors: 8 reals, or a (..., 8) stack of them unless
+    ``one``.  ValueError, naming the shape, for any other shape, and for ragged input and
+    values that are not real numbers; NaN and inf pass."""
+    x = _numbers(v, "coefficients", real=True)
+    if x.shape[-1:] != (8,) or one and x.ndim != 1:
+        want = "an 8-component real vector" if one else "8-component real vectors or stacks"
+        raise ValueError(f"expected {want}, got shape {x.shape}")
+    return x
 
 
 def expand(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +180,9 @@ def _hermitian_coeffs(m: np.ndarray) -> np.ndarray:
 
 
 def from_coefficients(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct ``sum_k (re_k + i im_k) lambda_k`` from coefficients."""
-    coeff = np.asarray(re, dtype=complex)
+    """Reconstruct ``sum_k (re_k + i im_k) lambda_k`` from coefficients, each 8 reals
+    (see :func:`_vectors`)."""
+    coeff = _vectors(re, one=True).astype(complex)
     if im is not None:
-        coeff = coeff + 1j * np.asarray(im, dtype=float)
+        coeff = coeff + 1j * _vectors(im, one=True)
     return np.einsum('k,kab->ab', coeff, LAMBDA)

@@ -57,7 +57,7 @@ import numpy as np
 
 from .algebra import LAMBDA, expand_hermitian
 from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, _chart_args, _chart_trig, _cos_sin,
-                    _haar_density, _points, _su2_entries, exp_generator)
+                    _check_seed, _haar_density, _points, _su2_entries, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -354,6 +354,7 @@ def closed_form_comparison(seed: int = 0) -> ClosedFormComparison:
     """Evaluate the tabulated closed forms against the exact construction
     at 32 points drawn from the chart interior using ``seed``."""
     from . import closed_forms
+    _check_seed(seed)
     points = np.random.default_rng(seed).uniform(0.15, 1.35, size=(32, 8))
     fr = frame(points)
     exact = {"fields_left": 1j * fr.a_left, "fields_right": 1j * fr.a_right,

@@ -12,7 +12,8 @@ The commands parse no numbers of their own.  Positional angles pass
 through ``float``; JSON values reach the library's parsers unconverted
 (``group._points`` for angles and waypoints, ``algebra._matrices`` for the
 're' and 'im' blocks of a matrix, ``LoopSpec`` and ``measure.sample_haar``
-for counts), so a JSON string where a number belongs is an input error.
+for counts), so a JSON string where a number belongs is an input error;
+``--seed`` is judged by the library's one seed check, ``group._check_seed``.
 
 stdout carries machine-readable JSON or CSV only, each written whole or not
 at all; diagnostics go to stderr.
@@ -120,7 +121,7 @@ def _cmd_haar(args) -> int:
         else:
             measure.dump_csv(samples, args.out)
     except ValueError as exc:
-        return _fail(2, f"--n {args.n}: {exc}")
+        return _fail(2, f"--n {args.n}, --seed {args.seed}: {exc}")
     except MemoryError as exc:
         return _fail(2, f"--n {args.n} does not fit in memory: {exc}")
     except OSError as exc:
@@ -175,7 +176,10 @@ def _rectangle_phase(loop) -> float:
 def _cmd_verify(args) -> int:
     from . import __version__, verify
     start = time.perf_counter()
-    checks = verify.run_checks(level=args.level, seed=args.seed)
+    try:
+        checks = verify.run_checks(level=args.level, seed=args.seed)
+    except ValueError as exc:           # argparse admits the level: the seed is refused
+        return _fail(2, f"--seed {args.seed}: {exc}")
     elapsed = time.perf_counter() - start
     catalogue = sorted(checks.closed_form_catalogue)
     payload = {
@@ -235,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a seed keys a Philox stream, whose key is a 128-bit unsigned integer
-    if not 0 <= getattr(args, "seed", 0) < 2 ** 128:
-        return _fail(2, "--seed must be an integer in [0, 2**128)")
     return args.func(args)
 
 

@@ -25,10 +25,11 @@ tests.  Note the doubled gamma and c ranges: the frequently quoted
 ``[0, pi)`` ranges for all four l3-angles leave the chart covering only a
 quarter of the group and demonstrably break the orthogonality integrals.
 
-Each chart formula (trig arguments, SU(2) block, chart product, and the
-stripping and two angle stages of ``decompose``) is written once, in real
-products and sums in a fixed order, and runs on Python floats for one point
-or matrix and on numpy columns for a batch, with the same bits.  A complex
+Each chart formula (trig arguments, SU(2) block, chart product and its
+third column psi, and the stripping and two angle stages of ``decompose``)
+is written once, in real products and sums in a fixed order, and runs on
+Python floats for one point or matrix and on numpy columns for a batch,
+with the same bits.  A complex
 product would not: numpy's fuses a multiply and an add where CPython's does
 not.  ``decompose``'s stratum conventions live in its one-matrix path.
 
@@ -118,6 +119,14 @@ def _check_count(n, name: str, least: int = 1) -> None:
         raise ValueError(f"need {name} >= {least}")
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer (not a bool) in [0, 2**128):
+    a seed keys a Philox stream, whose key is a 128-bit unsigned integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 def _points(angles, one: bool = False) -> np.ndarray:
     """Chart angles as floats, (8,) for one point or (n, 8) for a batch (not
     if ``one``): the only parser of chart points.  Any other shape, values
@@ -193,6 +202,30 @@ def _su2_entries(cx, sx, cy, sy, cz, sz):
     return cy * (p - q), cy * (r + t), sy * (p + q), sy * (r - t)
 
 
+def _psi_args(alpha, beta, gamma, theta, a, b, c, phi):
+    """The five trig arguments of psi = D[:, 2], as floats or columns: alpha,
+    gamma, (-2 phi) / sqrt 3, beta and theta, as :func:`_chart_args` gives them."""
+    x = _chart_args(alpha, beta, gamma, theta, a, b, c, phi)
+    return x[0], x[1], x[5], x[6], x[8]
+
+
+def _psi_entries(cal, cga, cv, cbe, cth, sal, sga, sv, sbe, sth):
+    """The :func:`_su2_entries` block (Re A, Im A, Re B, Im B), then
+    psi = D[:, 2] = e^(-2i phi / sqrt 3) (sin(theta) A, -sin(theta) B*, cos(theta))
+    as the six reals of its float view, one flat tuple.
+
+    The arguments are the cosines, then the sines, of the five
+    :func:`_psi_args`; Python floats give one point and columns a batch,
+    with the bits of :func:`_chart_entries`, whose third column this is.
+    (Flat arguments and result: packing them costs one-point ``compose``
+    ~0.5 us in a sequence of calls.)
+    """
+    ar, ai, br, bi = _su2_entries(cal, sal, cbe, sbe, cga, sga)
+    n0r, n0i, n1r, n1i = sth * ar, sth * ai, -sth * br, sth * bi
+    return (ar, ai, br, bi, n0r * cv - n0i * sv, n0r * sv + n0i * cv,
+            n1r * cv - n1i * sv, n1r * sv + n1i * cv, cth * cv, cth * sv)
+
+
 def _chart_entries(cos, sin):
     """The chart product D as the 18 reals of its float view, row by row.
 
@@ -202,11 +235,12 @@ def _chart_entries(cos, sin):
     A = cos(beta) e^(i (alpha + gamma)), B = sin(beta) e^(i (alpha - gamma));
     those right of it [[E, G], [-H, F]] with E, F = cos(b) e^(+-i (a + c)) w
     and G, H = sin(b) e^(+-i (a - c)) w, w = e^(i phi / sqrt 3), and
-    e^(-2i phi / sqrt 3).
+    e^(-2i phi / sqrt 3).  The third column is :func:`_psi_entries`.
     """
     cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
     sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
-    ar, ai, br, bi = _su2_entries(cal, sal, cbe, sbe, cga, sga)
+    ar, ai, br, bi, p0r, p0i, p1r, p1i, p2r, p2i = _psi_entries(
+        cal, cga, cv, cbe, cth, sal, sga, sv, sbe, sth)
     x, y, z, t = ca * cc, sa * sc, sa * cc, ca * sc
     pr, pi, qr, qi = x - y, z + t, x + y, z - t             # e^(i (a + c)), e^(i (a - c))
     wr, wi = cb * cw, cb * sw
@@ -217,16 +251,15 @@ def _chart_entries(cos, sin):
     gr, gi, hr, hi = x - y, z + t, x + y, z - t
     # exp(i l5 theta) mixes the columns: rows (cos(theta) A, B, sin(theta) A),
     # (-cos(theta) B*, A*, -sin(theta) B*) and (-sin(theta), 0, cos(theta))
-    nct, nst = -cth, -sth
-    m0r, m0i, m1r, m1i = cth * ar, cth * ai, nct * br, cth * bi
-    n0r, n0i, n1r, n1i = sth * ar, sth * ai, nst * br, sth * bi
+    nst = -sth
+    m0r, m0i, m1r, m1i = cth * ar, cth * ai, -cth * br, cth * bi
     return ((m0r * er - m0i * ei) - (br * hr - bi * hi), (m0r * ei + m0i * er) - (br * hi + bi * hr),
             (m0r * gr - m0i * gi) + (br * fr - bi * fi), (m0r * gi + m0i * gr) + (br * fi + bi * fr),
-            n0r * cv - n0i * sv, n0r * sv + n0i * cv,
+            p0r, p0i,
             (m1r * er - m1i * ei) - (ar * hr + ai * hi), (m1r * ei + m1i * er) - (ar * hi - ai * hr),
             (m1r * gr - m1i * gi) + (ar * fr + ai * fi), (m1r * gi + m1i * gr) + (ar * fi - ai * fr),
-            n1r * cv - n1i * sv, n1r * sv + n1i * cv,
-            nst * er, nst * ei, nst * gr, nst * gi, cth * cv, cth * sv)
+            p1r, p1i,
+            nst * er, nst * ei, nst * gr, nst * gi, p2r, p2i)
 
 
 def compose(angles) -> np.ndarray:

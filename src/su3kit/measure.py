@@ -11,8 +11,10 @@ Correctness is enforced by the orthogonality-relation and translation
 invariance tests rather than assumed.
 
 Sampling uses a counter-based Philox stream keyed by the seed, so any row
-of a draw can start a stream of its own.  Each estimate holds O(``_CHUNK``)
-rows per thread whatever n: every ``_CHUNK``-row chunk (``_SPAN``-row span
+of a draw can start a stream of its own.  Every function taking a seed
+refuses one that is not an integer in [0, 2**128), the Philox key range
+(``group._check_seed``).  Each estimate holds O(``_CHUNK``) rows per
+thread whatever n: every ``_CHUNK``-row chunk (``_SPAN``-row span
 in :func:`integrate`) is reduced to its count, mean and sum of squared
 deviations, and these are merged in chunk order (:func:`_merged`), so
 results are bit-identical for a fixed (seed, n) whether
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (ANGLE_NAMES, CANONICAL_HIGH, PHI_PERIOD, _check_count, _haar_density,
-                    compose_batch)
+from .group import (ANGLE_NAMES, CANONICAL_HIGH, PHI_PERIOD, _check_count, _check_seed,
+                    _haar_density, compose_batch)
 
 _CHUNK = 1 << 14
 _SPAN = 1 << 11           # rows per compose_batch call
@@ -77,10 +79,11 @@ def _angles(u: np.ndarray) -> np.ndarray:
 def sample_haar(seed: int, n: int) -> np.ndarray:
     """n i.i.d. Haar samples as an (n, 8) array of chart angles.
 
-    Deterministic for a fixed seed.  Columns follow
+    Deterministic for a fixed seed, an integer in [0, 2**128).  Columns follow
     ``su3kit.group.ANGLE_NAMES``; all values are in the canonical ranges.
     """
     _check_count(n, "n")
+    _check_seed(seed)
     return _angles(_stream(seed, 0).random((n, 8)))
 
 
@@ -138,7 +141,8 @@ def integrate(f, n: int, seed: int = 0) -> IntegrationResult:
     n : int
         Sample count, at least 2 for a standard error.
     seed : int
-        Philox key; fixed (seed, n) gives bit-identical results.
+        Philox key, in [0, 2**128); fixed (seed, n) gives bit-identical
+        results.
 
     f is called on one ``_SPAN``-row span of the draw at a time, and each
     span's values are reduced to their :func:`_moments` before the next is
@@ -146,6 +150,7 @@ def integrate(f, n: int, seed: int = 0) -> IntegrationResult:
     temporaries for them are held.
     """
     _check_count(n, "n", 2)
+    _check_seed(seed)
     moments, real = [], True
     buf = np.empty((min(n, _SPAN), 8))
     for start in range(0, n, _SPAN):
@@ -220,6 +225,7 @@ def _start_orthogonality(n: int, seed: int) -> _Chunks:
     """:func:`orthogonality_suite` begun: a helper thread may start on its
     chunks now, and ``join()`` returns the report (see :class:`_Chunks`)."""
     _check_count(n, "n", 2)
+    _check_seed(seed)
 
     def chunk_moments(start, stop, u):
         re_im, squares, abs2 = np.zeros((18, 18)), np.zeros((18, 18)), np.zeros((9, 9))
@@ -344,6 +350,7 @@ def volume_mc_estimate(n: int, seed: int = 0) -> tuple[float, float]:
     same bits (see :class:`_Chunks`).
     """
     _check_count(n, "n", 2)
+    _check_seed(seed)
 
     def chunk_moments(start, stop, buf):
         u = _stream(seed, start).random(out=buf[:stop - start])

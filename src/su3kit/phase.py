@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SQRT3
-from .group import ANGLE_NAMES, _check_count, _points, compose, compose_batch
+from .algebra import SQRT3, _numbers
+from .group import ANGLE_NAMES, _check_count, _points, _psi_args, _psi_entries, compose
 
 # chart coordinate indices
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
@@ -122,17 +122,31 @@ def phase_pancharatnam(loop: LoopSpec) -> float:
 
     Accumulates ``arg <psi_k | psi_k+1>`` along the sampled chain, whose
     closure term is included because the chart-closed loop repeats its
-    first state exactly.  The constant-d phi part of the connection
+    first state exactly.  Each psi is built alone, in closed form from
+    (alpha, beta, gamma, theta, phi) (:func:`_psi_chain`), not read off a
+    chart product.  The constant-d phi part of the connection
     telescopes to zero on a closed loop and is removed explicitly, so the
     value converges (second order in the step) to :func:`phase_connection`.
     Multiplying the chain by any smooth single-valued phase leaves the
     result unchanged.
     """
     pts = loop.sample_points()
-    psi = compose_batch(pts)[:, :, 2]
-    total = overlap_chain_phase(psi)
+    total = overlap_chain_phase(_psi_chain(pts))
     dphi_term = _DPHI * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
     return total - dphi_term
+
+
+def _psi_chain(points: np.ndarray) -> np.ndarray:
+    """psi = D[:, 2] of each row of an (n, 8) array of chart points:
+    ``group._psi_entries`` on columns fills the float view of the result, so
+    row k equals ``states.psi_of(points[k])`` and ``compose_batch(points)[k, :, 2]``
+    bit for bit, from 10 trig calls a row."""
+    out = np.empty((len(points), 3), dtype=complex)
+    flat = out.view(float)
+    for i in range(0, len(points), 2048):   # bounds the ~30 temporaries to ~0.5 MB
+        x = np.array(_psi_args(*points[i:i + 2048].T))
+        flat[i:i + 2048].T[...] = _psi_entries(*np.cos(x), *np.sin(x))[4:]
+    return out
 
 
 def overlap_chain_phase(psi: np.ndarray) -> float:
@@ -141,13 +155,19 @@ def overlap_chain_phase(psi: np.ndarray) -> float:
     The chain is expected to close (last state equal to the first up to an
     overall phase); multiplying the chain by smooth single-valued phases
     leaves the result invariant.  Consecutive states must overlap by 1e-6.
+    States that are not numbers (``algebra._numbers``), and an overlap that
+    is NaN or infinite, raise ValueError.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _numbers(psi, "states")
     if psi.ndim != 2 or len(psi) < 2:
         raise ValueError(f"need an (m, k) array of at least 2 states, got shape {psi.shape}")
-    overlaps = np.einsum('mk,mk->m', psi[:-1].conj(), psi[1:])
-    small = float(np.abs(overlaps).min())
-    if not small >= _MIN_OVERLAP:           # a NaN overlap fails too
+    overlaps = np.einsum('mk,mk->m', psi[:-1].conj(), psi[1:])   # inf where it overflows
+    bad = np.flatnonzero(~np.isfinite(overlaps))
+    if bad.size:
+        raise ValueError(f"overlap of states {bad[0]} and {bad[0] + 1} is not finite")
+    with np.errstate(over="ignore"):        # a modulus of finite parts may overflow
+        small = float(np.abs(overlaps).min())
+    if not small >= _MIN_OVERLAP:
         raise ValueError(
             f"consecutive states nearly orthogonal (|overlap| = {small:.2e}); "
             "increase samples_per_segment")

@@ -183,10 +183,12 @@ def run_checks(level: str = "quick", seed: int = 0) -> Checks:
     calling thread finishes what remains of it, and waits for the helper,
     before the volume estimate, so the report's times show only that wait,
     carried like a shared computation by the group's first check,
-    ``measure.volume_mc_3sigma``.
+    ``measure.volume_mc_3sigma``.  A level other than "quick" and "full",
+    and a seed that is not an integer in [0, 2**128), raise ValueError.
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    group._check_seed(seed)
     full = level == "full"
     n_orth = 100_000 if full else 20_000
     with measure._start_orthogonality(n_orth, seed) as orthogonality:
@@ -273,7 +275,7 @@ def run_checks(level: str = "quick", seed: int = 0) -> Checks:
 
         # closed-form tables against the exact construction
         cmp1 = cartan.closed_form_comparison(seed=seed)
-        cmp2 = cartan.closed_form_comparison(seed=seed + 1)
+        cmp2 = cartan.closed_form_comparison(seed=(seed + 1) % 2 ** 128)
         stable = cmp1.catalogue == cmp2.catalogue
         documented = cmp1.matches_documented_catalogue()
         add("closed_forms.catalogue_documented", 0.0 if documented else 1.0, 0.5,

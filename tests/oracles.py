@@ -4,8 +4,9 @@ Deliberately separate from the library code paths they check: a generic
 scaling-and-squaring matrix exponential, central finite differences, the
 Maurer-Cartan coefficients from the chain of chart factors, a
 Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products;
-and the tables of the public entries that take chart points and matrices,
-which the input-contract tests run through.
+the tables of the public entries that take chart points and matrices,
+which the input-contract tests run through; and a set of chart points that
+reaches the strata, for the tests that compare bits.
 """
 
 from __future__ import annotations
@@ -132,6 +133,21 @@ def matrix_entries() -> list:
             ("algebra.expand_hermitian", algebra.expand_hermitian, (8,), "any", False),
             ("cli.matrix_from_json", lambda u: cli.matrix_from_json({"re": u, "im": u}),
              (3, 3), "one", False)]
+
+
+def edge_points(seed: int) -> np.ndarray:
+    """Chart points for bit comparisons: 500 Haar points, 500 in [-10, 10),
+    four of +-0.0 angles, and three points at each distance 1e-3 ... 1e-13
+    from each stratum (beta, theta or b at 0 or pi/2), other angles interior."""
+    from su3kit.measure import sample_haar
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(0.1, 1.4, (3, 2, 11, 3, 8))
+    dist = 10.0 ** -np.arange(3, 14)[:, None]
+    for k, j in enumerate((1, 3, 5)):
+        near[k, 0, :, :, j], near[k, 1, :, :, j] = dist, np.pi / 2 - dist
+    return np.concatenate([sample_haar(seed, 500), rng.uniform(-10, 10, (500, 8)),
+                           np.zeros((1, 8)), np.full((1, 8), -0.0), [[0.0, -0.0] * 4],
+                           [[-0.0, 0.0] * 4], near.reshape(-1, 8)])
 
 
 def ks_uniform_pvalue(x: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,28 @@ def test_star_and_expand_hermitian_of_stacks_equal_per_item_calls():
     np.testing.assert_allclose(coeffs.reshape(50, 8), a, atol=1e-15)
     with pytest.raises(ValueError, match="8-component"):
         algebra.star(np.zeros((3, 7)), np.zeros((3, 7)))
+
+
+def test_star_and_from_coefficients_parse_8_vectors_of_reals():
+    for bad in (["1"] * 8, [None] * 8, [1j] * 8, [[0.0] * 8, [0.0] * 7]):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            algebra.star(bad, np.zeros(8))
+        with pytest.raises(ValueError, match="must be real numbers"):
+            algebra.from_coefficients(bad)
+    with pytest.raises(ValueError, match="must be real numbers"):
+        algebra.from_coefficients(np.zeros(8), ["1"] * 8)
+    for shape in ((3,), (), (2, 8)):
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            algebra.from_coefficients(np.zeros(shape))
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            algebra.from_coefficients(np.zeros(8), np.zeros(shape))
+    with pytest.raises(ValueError, match="got shape \\(8, 3\\)"):
+        algebra.star(np.zeros(8), np.zeros((8, 3)))
+    # integers and bools are real numbers
+    assert algebra.star([1] * 8, [True] * 8).tobytes() \
+        == algebra.star(np.ones(8), np.ones(8)).tobytes()
+    np.testing.assert_array_equal(algebra.from_coefficients(list(range(8))),
+                                  algebra.from_coefficients(np.arange(8.0)))
 
 
 def test_expand_basis_elements():

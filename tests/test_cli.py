@@ -367,6 +367,15 @@ def test_verify_negative_seed_exit_2(capsys):
     assert code == 2 and out == "" and "--seed" in err
 
 
+def test_a_seed_outside_the_range_is_one_stderr_line_from_the_library_check(capsys):
+    for command in (["haar", "--n", "3"], ["verify"]):
+        for seed in ("-5", str(2 ** 128)):
+            code, out, err = run_cli(capsys, *command, "--seed", seed)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ") and "--seed" in err
+            assert "seed must be an integer in [0, 2**128)" in err
+
+
 def test_verify_is_deterministic_for_fixed_seed(capsys):
     outs = []
     for _ in range(2):

@@ -6,7 +6,7 @@ import pytest
 from su3kit import algebra, group
 from su3kit.group import EulerAngles, compose, decompose, exp_generator
 
-from oracles import chart_entry_fns, expm_taylor, matrix_products
+from oracles import chart_entry_fns, edge_points, expm_taylor, matrix_products
 
 SQ3 = np.sqrt(3.0)
 
@@ -213,8 +213,26 @@ def test_compose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
         assert compose(p).tobytes() == d.tobytes()
     # the @ operator reaches the matmul ufunc without the module attribute
     for fn in (compose, group.compose_batch, group._chart_entries, group._chart_args,
-               group._chart_trig, group._cos_sin, group._su2_entries):
+               group._chart_trig, group._cos_sin, group._su2_entries, group._psi_args,
+               group._psi_entries):
         assert not matrix_products(fn), fn
+
+
+def test_psi_entries_are_the_third_column_on_floats_and_on_columns():
+    # the chart product takes its third column from _psi_entries, whose five
+    # arguments are four of the nine chart arguments and (-2 phi) / sqrt 3
+    pts = np.concatenate([edge_points(41), chart_points(np.random.default_rng(42))[::7]])
+    batch = group.compose_batch(pts)
+    x = np.array(group._psi_args(*pts.T))
+    entries = group._psi_entries(*np.cos(x), *np.sin(x))
+    columns = np.array(entries[4:]).T.copy().view(complex)
+    assert columns.tobytes() == np.ascontiguousarray(batch[:, :, 2]).tobytes()
+    for p, d, column, *ab in zip(pts, batch, columns, *entries[:4]):
+        cos, sin = group._cos_sin(group._psi_args(*p.tolist()))
+        one = group._psi_entries(*cos, *sin)
+        assert np.array(one[4:]).view(complex).tobytes() == column.tobytes() == d[:, 2].tobytes()
+        assert one[:4] == tuple(ab) == group._su2_entries(cos[0], sin[0], cos[3], sin[3],
+                                                          cos[1], sin[1])
 
 
 def test_compose_batch_rejects_wrong_shape():

@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 import threading
@@ -6,12 +7,37 @@ import threading
 import numpy as np
 import pytest
 
-from su3kit import group, measure
+from su3kit import cartan, group, measure, verify
 from su3kit.group import CANONICAL_HIGH, compose_batch
 
 from oracles import ks_two_sample_pvalue, ks_uniform_pvalue
 
 SQ3 = np.sqrt(3.0)
+
+
+SEEDED = {"sample_haar": lambda seed: measure.sample_haar(seed, 3),
+          "integrate": lambda seed: measure.integrate(lambda d: d[:, 0, 0], 4, seed=seed),
+          "volume_mc_estimate": lambda seed: measure.volume_mc_estimate(4, seed=seed),
+          "orthogonality_suite": lambda seed: measure.orthogonality_suite(4, seed=seed),
+          "run_checks": lambda seed: verify.run_checks(seed=seed),
+          "closed_form_comparison": lambda seed: cartan.closed_form_comparison(seed=seed)}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_every_seeded_entry_refuses_a_seed_outside_the_philox_key_range(name):
+    for bad in (1.5, True, np.float64(2.0), "3", None, -1, 2 ** 128, np.int64(-5)):
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer in [0, 2**128)")):
+            SEEDED[name](bad)
+
+
+def test_seeds_at_the_ends_of_the_range_are_accepted():
+    assert measure.sample_haar(np.uint64(5), 3).tobytes() == measure.sample_haar(5, 3).tobytes()
+    for seed in (0, 2 ** 128 - 1):
+        assert measure.sample_haar(seed, 3).shape == (3, 8)
+        assert cartan.closed_form_comparison(seed=seed).matches_documented_catalogue()
+    # the second comparison of run_checks draws at seed + 1, wrapped into the range
+    checks = {c.name: c for c in verify.run_checks(seed=2 ** 128 - 1)}
+    assert checks["closed_forms.catalogue_stable"].passed
 
 
 def test_total_volume_closed_form():
