@@ -35,10 +35,10 @@ B = sin(beta) e^(i (alpha - gamma)) and in theta (``_images``); the right
 side reads it at (-c, -b, -a) and -theta, its doublet rows turned by
 exp(i sqrt(3) phi).  A point thus takes the nine cosines and sines of
 ``group._chart_args`` and a few hundred real products and sums
-(``_coeff_entries``, A and B by ``compose``'s ``group._su2_entries``), on
-Python floats row by row for one point and small blocks, on numpy columns
-otherwise, with the same bits: no chart product, sandwich or projection.
-The one-point ``left_coeffs`` keeps the factor-by-factor loop as the
+(``_coeff_entries``, A and B by ``compose``'s ``group._su2_entries``), run
+by ``compose_batch``'s evaluator ``group._evaluate`` with the same bits on
+Python floats and on columns: no chart product, sandwich or projection.  The
+one-point ``left_coeffs`` keeps the factor-by-factor loop as the
 reference, whose eight ``exp_generator`` calls the benchmark's tracer test
 counts; the kernel agrees with it to a few units in the last place.
 ``closed_form_comparison`` evaluates each table on its whole batch against
@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LAMBDA, expand_hermitian
-from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, _chart_args, _chart_trig, _cos_sin,
-                    _check_seed, _haar_density, _points, _su2_entries, exp_generator)
+from .group import (_SQRT3, ANGLE_NAMES, FACTOR_GENERATORS, _chart_args, _check_seed, _evaluate,
+                    _haar_density, _points, _su2_entries, exp_generator)
 
 # |det(left_coeffs)| equals this constant times
 # sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta) at every chart point.
@@ -71,14 +71,6 @@ class DegenerateChartError(ValueError):
 # what the kernel computes: b alone, c alone, both, or b with its c column
 # made (c - cos 2b a) / sin 2b
 LEFT, RIGHT, BOTH, _REDUCED = "left", "right", "both", "reduced"
-
-# Rows per block of _coeff_stacks.  It bounds the kernel's transient memory
-# at any batch size: about 0.8 MB a block on both sides.
-_BLOCK = 256
-
-# Fewer rows than this go one at a time on Python floats (the same bits): the
-# columns' fixed ~180 us (~90 us on one side) beats ~15 us (~7.5 us) a row from 12.
-_COLUMNS_FROM = 12
 
 
 def _images(ar, ai, br, bi, ct, st, d):
@@ -111,16 +103,16 @@ def _double(c, s):
     return 2 * (s * c), c * c - s * s
 
 
-def _coeff_entries(cos, sin, sides, zero, one) -> list:
+def _coeff_entries(cos, sin, sides) -> list:
     """The 64 entries of b, c or both in turn, column by column, from the
     cosines and sines of :func:`group._chart_args` as Python floats (one point)
-    or (m,) columns, with the same bits: real products and sums only.  ``zero``
-    and ``one`` are the constant entries, as floats or columns."""
+    or (m,) columns, with the same bits: real products and sums only.  The
+    constant entries are floats on columns too."""
     cal, cga, ca, cc, cw, cv, cbe, cb, cth = cos
     sal, sga, sa, sc, sw, sv, sbe, sb, sth = sin
     s2be, c2be = _double(cbe, sbe)
     s2b, c2b = _double(cb, sb)
-    z3 = (zero, zero, zero)
+    z3 = (0.0, 0.0, 0.0)
     out = []
     if sides != RIGHT:
         s2al, c2al = _double(cal, sal)
@@ -129,17 +121,17 @@ def _coeff_entries(cos, sin, sides, zero, one) -> list:
         g1, g2, g3, g5, r3, ss = _images(*ab, cth, sth, ab + ab)
         t = [s2a * y - c2a * x for x, y in zip(g1, g2)]     # (c column - cos 2b g3) / sin 2b
         if sides == _REDUCED:
-            col_c = [*t, zero]
+            col_c = [*t, 0.0]
         else:
             col_c = [*[s2b * x + c2b * y for x, y in zip(t, g3)], c2b * g3[7]]
-        out += [zero, zero, one, *z3, zero, zero,                     # alpha, beta, gamma: W
-                s2al, c2al, zero, *z3, zero, zero,
-                -c2al * s2be, s2al * s2be, c2be, *z3, zero, zero,
-                *z3, *g5, zero,                                       # theta: Ad(Q) l5
-                *g3,                                                  # a, b, c: Ad(Q) of W(a, b)
-                *[s2a * x + c2a * y for x, y in zip(g1, g2)], zero,
+        out += [0.0, 0.0, 1.0, *z3, 0.0, 0.0,                     # alpha, beta, gamma: W
+                s2al, c2al, 0.0, *z3, 0.0, 0.0,
+                -c2al * s2be, s2al * s2be, c2be, *z3, 0.0, 0.0,
+                *z3, *g5, 0.0,                                    # theta: Ad(Q) l5
+                *g3,                                              # a, b, c: Ad(Q) of W(a, b)
+                *[s2a * x + c2a * y for x, y in zip(g1, g2)], 0.0,
                 *col_c,
-                *[g3[7] * x for x in r3],                             # phi: Ad(Q) l8
+                *[g3[7] * x for x in r3],                         # phi: Ad(Q) l8
                 *[_SQRT3 * x for x in g3[3:7]], 1.0 - 1.5 * ss]
     if sides in (RIGHT, BOTH):
         s2ga, c2ga = _double(cga, sga)
@@ -151,35 +143,26 @@ def _coeff_entries(cos, sin, sides, zero, one) -> list:
              ar * cp - ai * sp, ai * cp + ar * sp, br * cp - bi * sp, bi * cp + br * sp)
         h1, h2, h3, h5, _, _ = _images(ar, ai, br, bi, cth, -sth, d)
         out += [*[s2be * (c2ga * x + s2ga * y) + c2be * w for x, y, w in zip(h1, h2, h3)],
-                c2be * h3[7],                                         # alpha, beta, gamma:
-                *[c2ga * y - s2ga * x for x, y in zip(h1, h2)], zero,   # Ad(Q'^dag) of W
+                c2be * h3[7],                                     # alpha, beta, gamma:
+                *[c2ga * y - s2ga * x for x, y in zip(h1, h2)], 0.0,  # Ad(Q'^dag) of W
                 *h3,
-                *z3, *h5, zero,                                       # theta: Ad(Q'^dag) l5
-                c2c * s2b, s2c * s2b, c2b, *z3, zero, zero,           # a, b, c: W(c, b)
-                -s2c, c2c, zero, *z3, zero, zero,
-                zero, zero, one, *z3, zero, zero,
-                zero, zero, zero, *z3, zero, one]                     # phi: e8
+                *z3, *h5, 0.0,                                    # theta: Ad(Q'^dag) l5
+                c2c * s2b, s2c * s2b, c2b, *z3, 0.0, 0.0,         # a, b, c: W(c, b)
+                -s2c, c2c, 0.0, *z3, 0.0, 0.0,
+                0.0, 0.0, 1.0, *z3, 0.0, 0.0,
+                0.0, 0.0, 0.0, *z3, 0.0, 1.0]                     # phi: e8
     return out
 
 
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
     """The stack (b, c) of a point from ``group._points``, as (2, 8, 8), or of
-    an (n, 8) batch, as (2, n, 8, 8), ``_BLOCK`` rows at a time; without the
-    leading axis for one side (``sides``)."""
-    rows = p.reshape(-1, 8)
-    out = np.empty((2 if sides == BOTH else 1, len(rows), 8, 8))
-    for i in range(0, len(rows), _BLOCK):
-        chunk, block = rows[i:i + _BLOCK], out[:, i:i + _BLOCK]
-        m = len(chunk)
-        if m < _COLUMNS_FROM:
-            cos, sin = _cos_sin([_chart_args(*row) for row in chunk.tolist()])
-            entries = [_coeff_entries(c, s, sides, 0.0, 1.0) for c, s in zip(cos, sin)]
-            block.transpose(1, 0, 3, 2)[...] = np.array(entries).reshape(m, len(out), 8, 8)
-        else:
-            entries = _coeff_entries(*_chart_trig(chunk), sides, np.zeros(m), np.ones(m))
-            block.transpose(0, 3, 2, 1)[...] = np.array(entries).reshape(len(out), 8, 8, m)
-    out = out if sides == BOTH else out[0]
-    return out if p.ndim == 2 else out[..., 0, :, :]
+    an (n, 8) batch, as (2, n, 8, 8), without the leading axis for one side
+    (``sides``): ``group._evaluate`` of the entries, which run column by column."""
+    out = _evaluate(lambda cos, sin: _coeff_entries(cos, sin, sides), _chart_args,
+                    p.reshape(-1, 8), 128 if sides == BOTH else 64)
+    out = out.reshape(p.shape[:-1] + (out.shape[-1] // 64, 8, 8)).swapaxes(-1, -2)
+    out = out if p.ndim == 1 else out.swapaxes(0, 1)
+    return out if sides == BOTH else out[0]
 
 
 def left_coeffs(angles) -> np.ndarray:
@@ -304,10 +287,9 @@ def haar_density(angles):
     Every Ad(Q) column still goes through the LU, so the closed form checks them.
     """
     p = _points(angles)
-    rows = p.reshape(-1, 8)
-    value = np.abs(np.linalg.det(_coeff_stacks(rows, _REDUCED)) * np.sin(2 * rows[:, 5]))
+    value = np.abs(np.linalg.det(_coeff_stacks(p, _REDUCED)) * np.sin(2 * p[..., 5]))
     value /= DENSITY_DET_RATIO
-    return float(value[0]) if p.ndim == 1 else value
+    return float(value) if p.ndim == 1 else value
 
 
 def haar_density_closed(angles):

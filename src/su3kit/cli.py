@@ -81,6 +81,8 @@ def _cmd_compose(args) -> int:
     from .group import ANGLE_NAMES, _points, compose, unitarity_residual
     values = args.values
     if args.angles is not None:
+        if values:
+            return _fail(2, "give the angles either as --angles JSON or positionally, not both")
         try:
             obj = _json_object(json.loads(args.angles), "angles")
             values = _points([obj[name] for name in ANGLE_NAMES], one=True)

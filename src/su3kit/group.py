@@ -28,10 +28,10 @@ quarter of the group and demonstrably break the orthogonality integrals.
 Each chart formula (trig arguments, SU(2) block, chart product and its
 third column psi, and the stripping and two angle stages of ``decompose``)
 is written once, in real products and sums in a fixed order, and runs on
-Python floats for one point or matrix and on numpy columns for a batch,
-with the same bits.  A complex
-product would not: numpy's fuses a multiply and an add where CPython's does
-not.  ``decompose``'s stratum conventions live in its one-matrix path.
+Python floats for one point or matrix and on numpy columns for a batch
+(of chart points, by ``_evaluate``), with the same bits.  A complex product
+would not: numpy's fuses a multiply and an add where CPython's does not.
+``decompose``'s stratum conventions live in its one-matrix path.
 
 Every function of the package that takes chart points reads them with
 ``_points``, which refuses complex, non-numeric, mis-shaped and non-finite
@@ -60,9 +60,10 @@ FACTOR_GENERATORS = (3, 2, 3, 5, 3, 2, 3, 8)
 
 PHI_PERIOD = SQRT3 * np.pi
 
-# canonical upper bounds per coordinate (lower bounds are all 0)
+# canonical upper bounds per coordinate (lower bounds are all 0), excluded where _HALF_OPEN
 CANONICAL_HIGH = np.array([np.pi, np.pi / 2, 2 * np.pi, np.pi / 2,
                            np.pi, np.pi / 2, 2 * np.pi, PHI_PERIOD])
+_HALF_OPEN = np.array([True, False, True, False, True, False, True, True])
 
 # Python-float constants for the decompose arithmetic
 _SQRT3 = float(SQRT3)
@@ -102,7 +103,8 @@ class EulerAngles(NamedTuple):
 
     def is_canonical(self) -> bool:
         v = self.as_array()
-        return bool(np.all(v >= 0) and np.all(v <= CANONICAL_HIGH))
+        return bool(np.all(v >= 0) and np.all(np.where(_HALF_OPEN, v < CANONICAL_HIGH,
+                                                        v <= CANONICAL_HIGH)))
 
 
 def _haar_density(beta, theta, b):
@@ -196,6 +198,33 @@ def _cos_sin(values):
     return np.cos(x).tolist(), np.sin(x).tolist()
 
 
+# Rows per block of _evaluate: it bounds a kernel's temporaries at any batch size.
+_BLOCK = 2048
+# Fewer rows go one by one on Python floats: ~19 us a row of b and c, ~220 us for 12 on columns.
+_COLUMNS_FROM = 12
+
+
+def _evaluate(kernel, args, points: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) floats, row k ``kernel(cos, sin)`` of the cosines and sines of
+    ``args(*points[k])`` for (n, 8) chart points: ``_BLOCK`` rows at a time, one
+    by one on Python floats below ``_COLUMNS_FROM`` rows, else on columns (same bits)."""
+    out = np.empty((len(points), width))
+    for i in range(0, len(points), _BLOCK):
+        rows, block = points[i:i + _BLOCK], out[i:i + _BLOCK]
+        if len(rows) < _COLUMNS_FROM:
+            block[...] = [kernel(*_cos_sin(args(*row))) for row in rows.tolist()]
+        else:
+            x = np.array(args(*rows.T))
+            _fill(block, kernel(np.cos(x), np.sin(x)))
+    return out
+
+
+def _fill(out: np.ndarray, entries) -> None:
+    """Write entry j, a column or a constant, into column j of out."""
+    for column, value in zip(out.T, entries):
+        column[...] = value
+
+
 def _su2_entries(cx, sx, cy, sy, cz, sz):
     """Re A, Im A, Re B, Im B of exp(i l3 x) exp(i l2 y) exp(i l3 z) = [[A, B], [-B*, A*]]."""
     p, q, r, t = cx * cz, sx * sz, sx * cz, cx * sz
@@ -270,24 +299,12 @@ def compose(angles) -> np.ndarray:
 
 
 def compose_batch(points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`compose` for an (n, 8) array of chart points:
-    :func:`_chart_entries` on columns fills the float view of the result, so
-    row k equals ``compose(points[k])`` bit for bit."""
+    """Vectorized :func:`compose` for an (n, 8) array of chart points, by
+    :func:`_evaluate`: row k equals ``compose(points[k])`` bit for bit."""
     p = _points(points)
     if p.ndim != 2:
         raise ValueError("compose_batch expects an (n, 8) array")
-    out = np.empty((len(p), 3, 3), dtype=complex)
-    flat = out.view(float).reshape(len(p), 18)
-    for i in range(0, len(p), 2048):        # bounds the ~100 temporaries to ~1.5 MB
-        flat[i:i + 2048].T[...] = _chart_entries(*_chart_trig(p[i:i + 2048]))
-    return out
-
-
-def _chart_trig(p: np.ndarray):
-    """Cosines and sines of the nine chart arguments of each row of an
-    (m, 8) array, as two (9, m) arrays in :func:`_chart_args` order."""
-    x = np.array(_chart_args(*p.T))
-    return np.cos(x), np.sin(x)
+    return _evaluate(_chart_entries, _chart_args, p, 18).view(complex).reshape(-1, 3, 3)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -503,26 +520,32 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
     return EulerAngles(*angles), flags
 
 
+def _mod(x, p):
+    """x mod p in [0, p), on floats or columns: x % p rounds a tiny negative x to
+    p itself, which the second % takes to 0; it returns any r < p unchanged."""
+    return x % p % p
+
+
 def _left_pair(arg0, arg1, arg2):
     """alpha + gamma, alpha - gamma, alpha and gamma off the strata, as floats or
     columns, from arg psi_0, arg(-psi_1) and arg psi_2 of psi = u[:, 2]."""
-    phi_pre = (_SQRT3 / 2.0) * ((-arg2) % _TAU)     # phi as psi_2 sees it
+    phi_pre = (_SQRT3 / 2.0) * _mod(-arg2, _TAU)     # phi as psi_2 sees it
     shift = 2.0 * phi_pre / _SQRT3
     s1 = arg0 + shift
     d1 = -(arg1 + shift)
-    alpha = ((s1 + d1) / 2.0) % math.pi
-    return s1, d1, alpha, (s1 - alpha) % _TAU
+    alpha = _mod((s1 + d1) / 2.0, math.pi)
+    return s1, d1, alpha, _mod(s1 - alpha, _TAU)
 
 
 def _right_pair(arg22, s2, d2):
     """phi, a + c, a - c, a and c off the strata, as floats or columns, from
     the phases of the :func:`_strip_left` entries [2, 2], [0, 0] and [0, 1]."""
-    phi = (_SQRT3 / 2.0) * ((-arg22) % _TAU)
+    phi = (_SQRT3 / 2.0) * _mod(-arg22, _TAU)
     # the l8 factor adds phi / sqrt(3) to the phases of the first row
     s2 = s2 - phi / _SQRT3
     d2 = d2 - phi / _SQRT3
-    a = ((s2 + d2) / 2.0) % math.pi
-    return phi, s2, d2, a, (s2 - a) % _TAU
+    a = _mod((s2 + d2) / 2.0, math.pi)
+    return phi, s2, d2, a, _mod(s2 - a, _TAU)
 
 
 def _decompose_one(u: np.ndarray):
@@ -551,10 +574,10 @@ def _decompose_one(u: np.ndarray):
             flags.append("theta=pi/2")
         s1, d1, alpha, gamma = _left_pair(arg0, arg1, arg2)
         if m2 <= _STRATUM_TOL:
-            beta, alpha, gamma = 0.0, 0.0, s1 % _TAU
+            beta, alpha, gamma = 0.0, 0.0, _mod(s1, _TAU)
             flags.append("beta=0")
         elif m1 <= _STRATUM_TOL:
-            beta, alpha, gamma = math.pi / 2, 0.0, (-d1) % _TAU
+            beta, alpha, gamma = math.pi / 2, 0.0, _mod(-d1, _TAU)
             flags.append("beta=pi/2")
 
     cos, sin = _cos_sin([alpha + gamma, alpha - gamma, beta, theta])
@@ -565,10 +588,10 @@ def _decompose_one(u: np.ndarray):
     if sb <= _STRATUM_TOL:
         # b = 0 or pi/2: only one phase combination is defined; the
         # convention folds it into c and zeroes a
-        a, b, c = 0.0, 0.0, s2 % _TAU
+        a, b, c = 0.0, 0.0, _mod(s2, _TAU)
         flags.append("b=0")
     elif cb <= _STRATUM_TOL:
-        a, b, c = 0.0, math.pi / 2, (-d2) % _TAU
+        a, b, c = 0.0, math.pi / 2, _mod(-d2, _TAU)
         flags.append("b=pi/2")
     return [alpha, beta, gamma, theta, a, b, c, phi], flags
 

@@ -16,7 +16,8 @@ and the geometric phase of a closed loop is the line integral of A with the
 d phi term dropped (on a loop closed in the chart that term integrates to
 zero anyway; pass ``include_dphi=True`` to keep it).  A gauge-independent
 discrete oracle computes the same phase as the accumulated argument of the
-overlap chain <psi_k | psi_k+1> around the loop.
+overlap chain <psi_k | psi_k+1> around the loop, its states evaluated by
+``group._evaluate``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT3, _numbers
-from .group import ANGLE_NAMES, _check_count, _points, _psi_args, _psi_entries, compose
+from .group import ANGLE_NAMES, _check_count, _evaluate, _points, _psi_args, _psi_entries, compose
 
 # chart coordinate indices
 _ALPHA, _BETA, _GAMMA, _THETA = 0, 1, 2, 3
@@ -57,7 +58,6 @@ class LoopSpec:
         if w.ndim != 2 or len(w) < 2:
             raise ValueError("LoopSpec needs at least 2 waypoints of 8 angles")
         _check_count(self.samples_per_segment, "samples_per_segment")
-        # two one-point calls: the bits of compose_batch's rows, without its fixed cost
         residual = np.abs(compose(w[0]) - compose(w[-1])).max()
         if not residual <= 1e-10:           # a NaN residual fails too
             raise ValueError(
@@ -123,30 +123,22 @@ def phase_pancharatnam(loop: LoopSpec) -> float:
     Accumulates ``arg <psi_k | psi_k+1>`` along the sampled chain, whose
     closure term is included because the chart-closed loop repeats its
     first state exactly.  Each psi is built alone, in closed form from
-    (alpha, beta, gamma, theta, phi) (:func:`_psi_chain`), not read off a
-    chart product.  The constant-d phi part of the connection
-    telescopes to zero on a closed loop and is removed explicitly, so the
-    value converges (second order in the step) to :func:`phase_connection`.
-    Multiplying the chain by any smooth single-valued phase leaves the
-    result unchanged.
+    (alpha, beta, gamma, theta, phi), not read off a chart product, and
+    equals ``states.psi_of`` of its sample bit for bit.  The constant-d phi
+    part of the connection telescopes to zero on a closed loop and is
+    removed explicitly, so the value converges (second order in the step)
+    to :func:`phase_connection`.  Multiplying the chain by any smooth
+    single-valued phase leaves the result unchanged.
     """
     pts = loop.sample_points()
-    total = overlap_chain_phase(_psi_chain(pts))
+    total = overlap_chain_phase(_evaluate(_psi, _psi_args, pts, 6).view(complex))
     dphi_term = _DPHI * float((pts[1:, _PHI] - pts[:-1, _PHI]).sum())
     return total - dphi_term
 
 
-def _psi_chain(points: np.ndarray) -> np.ndarray:
-    """psi = D[:, 2] of each row of an (n, 8) array of chart points:
-    ``group._psi_entries`` on columns fills the float view of the result, so
-    row k equals ``states.psi_of(points[k])`` and ``compose_batch(points)[k, :, 2]``
-    bit for bit, from 10 trig calls a row."""
-    out = np.empty((len(points), 3), dtype=complex)
-    flat = out.view(float)
-    for i in range(0, len(points), 2048):   # bounds the ~30 temporaries to ~0.5 MB
-        x = np.array(_psi_args(*points[i:i + 2048].T))
-        flat[i:i + 2048].T[...] = _psi_entries(*np.cos(x), *np.sin(x))[4:]
-    return out
+def _psi(cos, sin):
+    """The six reals of psi = D[:, 2] from the cosines and sines of ``group._psi_args``."""
+    return _psi_entries(*cos, *sin)[4:]
 
 
 def overlap_chain_phase(psi: np.ndarray) -> float:

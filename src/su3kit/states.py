@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import IDENTITY3, LAMBDA, SQRT3, _matrices, star
-from .group import _SQRT3, _check_bounded, _cos_sin, _dagger, _points, _psi_args, _psi_entries
+from .group import (_SQRT3, _check_bounded, _cos_sin, _dagger, _fill, _points, _psi_args,
+                    _psi_entries)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def project(g: np.ndarray) -> DensityState:
     entries = _state_entries(psi[:, 0].real, psi[:, 0].imag, psi[:, 1].real,
                              psi[:, 1].imag, psi[:, 2].real, psi[:, 2].imag)
     for out, values in zip((rho.view(float).reshape(-1, 18), n.reshape(-1, 8)), entries):
-        for column, value in zip(out.T, values):
-            column[...] = value
+        _fill(out, values)
     return DensityState(rho=rho, n=n)
 
 

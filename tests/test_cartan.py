@@ -259,7 +259,8 @@ def test_kernel_makes_no_matrix_products_and_no_lapack_calls(monkeypatch):
     assert all(same_bits(g, e) for g, e in zip(got, expected))
     # the @ operator reaches the matmul ufunc without the module attribute
     for fn in (cartan._coeff_stacks, cartan._coeff_entries, cartan._images, cartan._double,
-               group._su2_entries, group._chart_trig, group._chart_args, group._cos_sin):
+               group._su2_entries, group._evaluate, group._fill, group._chart_args,
+               group._cos_sin):
         assert not matrix_products(fn), fn
 
 
@@ -295,13 +296,14 @@ def test_batch_equals_per_point(fn):
 
 
 def test_frame_and_closed_density_batches_equal_per_point():
-    # one block; test_blocked_batch_equals_rows_one_at_a_time covers several
+    # one block; test_group's evaluator seam test covers the kernel over several
     pts = sample_haar(33, 40)
-    fr = cartan.frame(pts)
+    fr, density = cartan.frame(pts), cartan.haar_density(pts)
     for k, p in enumerate(pts):
         one = cartan.frame(p)
         for name in ("b_left", "a_left", "b_right", "a_right"):
             assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, k)
+        assert same_bits(density[k], cartan.haar_density(p)), k
     closed = cartan.haar_density_closed(pts)
     assert closed.shape == (40,)
     np.testing.assert_allclose(closed, [cartan.haar_density_closed(p) for p in pts],
@@ -316,26 +318,6 @@ def test_batch_with_one_row_on_a_stratum_raises():
         with pytest.raises(cartan.DegenerateChartError, match="row 4.*sin\\(2 b\\)"):
             fn(pts)
     cartan.left_coeffs(pts)        # the coefficients themselves stay defined
-
-
-def test_blocked_batch_equals_rows_one_at_a_time():
-    # batches of fewer than _COLUMNS_FROM rows go one at a time on Python
-    # floats, larger ones on columns; more rows than two blocks leave a short
-    # last block
-    every = np.concatenate([sample_haar(37, 2 * cartan._BLOCK - 57), near_strata_points(38, 10)])
-    assert len(every) == 2 * cartan._BLOCK + 3
-    for n in (1, 8, 32, len(every)):
-        pts = every[-n:]
-        fr = cartan.frame(pts)
-        density = cartan.haar_density(pts)
-        b, c = cartan.left_coeffs(pts), cartan.right_coeffs(pts)
-        for k, p in enumerate(pts):
-            one = cartan.frame(p)
-            for name in ("b_left", "a_left", "b_right", "a_right"):
-                assert same_bits(getattr(fr, name)[k], getattr(one, name)), (name, n, k)
-            assert same_bits(b[k], cartan.left_forms(p)), (n, k)
-            assert same_bits(c[k], cartan.right_coeffs(p)), (n, k)
-            assert same_bits(density[k], cartan.haar_density(p)), (n, k)
 
 
 @st.composite

@@ -56,6 +56,10 @@ def test_compose_input_errors_exit_2(capsys):
     assert code == 2 and out == "" and "error" in err
     code, _, _ = run_cli(capsys, "compose", "--angles", "{bad json")
     assert code == 2
+    # positional angles beside --angles are refused, not dropped
+    code, out, err = run_cli(capsys, "compose", "--angles", json.dumps(ZERO_ANGLES), "1", "2", "3")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "not both" in err
 
 
 def test_compose_decompose_round_trip_via_files(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from su3kit import algebra, group
+from su3kit import algebra, cartan, group, phase, states
 from su3kit.group import EulerAngles, compose, decompose, exp_generator
 
 from oracles import chart_entry_fns, edge_points, expm_taylor, matrix_products
@@ -213,8 +214,8 @@ def test_compose_builds_no_chart_factors_and_no_matrix_products(monkeypatch):
         assert compose(p).tobytes() == d.tobytes()
     # the @ operator reaches the matmul ufunc without the module attribute
     for fn in (compose, group.compose_batch, group._chart_entries, group._chart_args,
-               group._chart_trig, group._cos_sin, group._su2_entries, group._psi_args,
-               group._psi_entries):
+               group._evaluate, group._fill, group._cos_sin, group._su2_entries,
+               group._psi_args, group._psi_entries):
         assert not matrix_products(fn), fn
 
 
@@ -233,6 +234,41 @@ def test_psi_entries_are_the_third_column_on_floats_and_on_columns():
         assert np.array(one[4:]).view(complex).tobytes() == column.tobytes() == d[:, 2].tobytes()
         assert one[:4] == tuple(ab) == group._su2_entries(cos[0], sin[0], cos[3], sin[3],
                                                           cos[1], sin[1])
+
+
+def _coeff_calls(side):
+    """_coeff_stacks of a batch, with the points along axis 0, and of one point."""
+    return (lambda pts: (np.moveaxis(cartan._coeff_stacks(pts, side), -3, 0),),
+            lambda p: (cartan._coeff_stacks(p, side),))
+
+
+# each kernel of group._evaluate, and project's columns by group._fill: the
+# batch call, then the one-point call that row k of each of its arrays equals
+EVALUATED = {
+    "chart": (lambda pts: (group.compose_batch(pts),), lambda p: (compose(p),)),
+    "psi": (lambda pts: (group._evaluate(phase._psi, group._psi_args, pts, 6).view(complex),),
+            lambda p: (states.psi_of(p),)),
+    **{side: _coeff_calls(side)
+       for side in (cartan.LEFT, cartan.RIGHT, cartan.BOTH, cartan._REDUCED)},
+    "project": (lambda pts: astuple(states.project(group.compose_batch(pts))),
+                lambda p: astuple(states.project(compose(p)))),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, group._COLUMNS_FROM - 1, group._COLUMNS_FROM,
+                               2 * group._BLOCK + 3])
+@pytest.mark.parametrize("kernel", EVALUATED)
+def test_evaluator_rows_equal_one_point_calls_bit_for_bit(kernel, n):
+    # fewer than _COLUMNS_FROM rows go on Python floats, more on columns;
+    # 2 _BLOCK + 3 rows leave a short last block, on Python floats again; an
+    # empty batch gives empty arrays
+    pts = np.concatenate([edge_points(51)[::-1], haar_angles(np.random.default_rng(52), 3000)])[:n]
+    batch, one = EVALUATED[kernel]
+    rows = batch(pts)
+    assert all(len(a) == n for a in rows)
+    for k, p in enumerate(pts):
+        for got, want in zip(rows, one(p)):
+            assert got[k].shape == want.shape and got[k].tobytes() == want.tobytes(), (kernel, k)
 
 
 def test_compose_batch_rejects_wrong_shape():
@@ -261,6 +297,38 @@ def test_euler_angles_container():
     assert group.compose_batch([ang, ang._replace(beta=0.3)]).tobytes() \
         == group.compose_batch(pts).tobytes()
     assert compose(ang).tobytes() == compose(pts[0]).tobytes()
+
+
+def test_is_canonical_excludes_the_upper_ends_of_the_periodic_ranges():
+    inside = EulerAngles(*(group.CANONICAL_HIGH / 2))
+    assert inside.is_canonical()
+    for name, high in zip(group.ANGLE_NAMES, group.CANONICAL_HIGH):
+        closed = name in ("beta", "theta", "b")
+        assert inside._replace(**{name: high}).is_canonical() == closed, name
+        assert inside._replace(**{name: np.nextafter(high, 0)}).is_canonical(), name
+        assert not inside._replace(**{name: -1e-300}).is_canonical(), name
+
+
+@pytest.mark.parametrize("point", [
+    [-1e-16, 0.3, 1.2, 0.5, 0.4, 0.6, 1.1, 0.9],      # alpha rounds to pi
+    [0.1, 0.3, -1e-16, 0.5, 0.4, 0.6, 1.1, 0.9],      # gamma to 2 pi
+    [0.1, 0.3, 1.2, 0.5, 0.4, 0.6, -1e-16, 0.9],      # c to 2 pi
+    [0.1, 0.3, 1.2, 0.5, 0.4, 0.6, 1.1, -1e-17],      # phi to sqrt(3) pi
+    [0.3, 0.2, 0.2, 0.5, 0.0, 0.0, -1e-16, 0.9],      # b = 0: c to 2 pi
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1e-16, 0.0],      # theta = 0 and b = 0: c to 2 pi
+])
+def test_decompose_never_returns_the_excluded_end_of_a_range(point):
+    # x % p of a tiny negative x rounds to p itself; decompose folds it to 0,
+    # on one matrix and on the columns of a stack
+    u = compose(point)
+    one, _ = decompose(u)
+    stack, _ = decompose(np.stack([u, compose(np.full(8, 0.7)), u]))
+    periodic = [0, 2, 4, 6, 7]                      # alpha, gamma, a, c, phi
+    for angles in (one, *map(EulerAngles.from_array, stack[::2])):
+        assert (np.array(angles)[periodic] < group.CANONICAL_HIGH[periodic]).all(), angles
+        assert angles.is_canonical(), angles
+        np.testing.assert_allclose(compose(angles), u, rtol=0, atol=1e-15)
+    assert stack[0].tobytes() == np.array(one).tobytes() == stack[2].tobytes()
 
 
 def test_decompose_identity_is_all_zero_with_stratum_flag():

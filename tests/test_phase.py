@@ -8,7 +8,7 @@ from su3kit import phase, states, verify
 from su3kit.group import ANGLE_NAMES, compose_batch
 from su3kit.measure import sample_haar
 
-from oracles import central_difference, chart_entry_fns, edge_points
+from oracles import central_difference, chart_entry_fns
 
 HALF_MAX = sys.float_info.max / 2
 
@@ -125,16 +125,6 @@ def test_overlap_chain_phase_refuses_infinite_overlaps_and_non_numbers():
     # an overlap of finite parts whose modulus overflows is answered, without a warning
     c = 1.2e154                         # the overlap is 1.44e308 (1 + i)
     assert phase.overlap_chain_phase([[c, 0], [c * (1 + 1j), 0]]) == pytest.approx(np.pi / 4)
-
-
-def test_pancharatnam_chain_is_the_third_column_of_compose_batch_bit_for_bit():
-    # more rows than one 2048-row block, so the blocks join without a seam
-    pts = np.concatenate([edge_points(46), smooth_random_loop(np.random.default_rng(47),
-                                                              samples=300).sample_points()])
-    assert len(pts) > 2048
-    psi = phase._psi_chain(pts)
-    assert psi.shape == (len(pts), 3)
-    assert psi.tobytes() == np.ascontiguousarray(compose_batch(pts)[:, :, 2]).tobytes()
 
 
 def test_line_integral_refuses_waypoints_whose_sum_overflows():

@@ -209,6 +209,6 @@ def test_state_kernels_make_no_matrix_products_and_no_einsum(monkeypatch):
     for got, want in zip([states.project(mats[0]), states.project(mats)], expected):
         assert got.rho.tobytes() == want.rho.tobytes() and got.n.tobytes() == want.n.tobytes()
     # the @ operator reaches the matmul ufunc without the module attribute
-    for fn in (states.project, states._state_entries, states.psi_of, phase._psi_chain,
-               group._psi_entries, group._psi_args):
+    for fn in (states.project, states._state_entries, states.psi_of, phase.phase_pancharatnam,
+               phase._psi, group._evaluate, group._fill, group._psi_entries, group._psi_args):
         assert not matrix_products(fn), fn
