@@ -171,8 +171,7 @@ def _rectangle_phase(loop) -> float:
     bounds = ((w[0, i], w[2, i]), (w[0, j], w[2, j]))
     if not np.array_equal(w, _rectangle_corners(w[0], (i, j), bounds)):
         raise ValueError("loop is not the boundary of a coordinate rectangle")
-    n = max(loop.samples_per_segment, 2)
-    return phase_curvature(w[0], (i, j), bounds, samples=(n, n))
+    return phase_curvature(w[0], (i, j), bounds)
 
 
 def _cmd_verify(args) -> int:

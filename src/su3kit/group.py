@@ -499,9 +499,10 @@ def decompose(u: np.ndarray, tol: float = 1e-8):
         Admission tolerance for unitarity / determinant of the input;
         finite and >= 0.
 
-    Magnitudes at or below 1e-12 are treated as exact zeros; the affected
-    angles are gauge on the corresponding degenerate stratum, get folded
-    into their partners, and a flag is reported.
+    Sines and cosines of theta, beta and b at or below 1e-12 are treated as
+    exact zeros (beta's as |u[1, 2]| and |u[0, 2]| over sin theta, so a small
+    theta flags no beta stratum); the affected angles are gauge on the
+    stratum, get folded into their partners, and a flag is reported.
 
     Returns
     -------
@@ -573,10 +574,10 @@ def _decompose_one(u: np.ndarray):
             theta, arg2 = math.pi / 2, 0.0
             flags.append("theta=pi/2")
         s1, d1, alpha, gamma = _left_pair(arg0, arg1, arg2)
-        if m2 <= _STRATUM_TOL:
+        if m2 <= _STRATUM_TOL * stheta:         # sin beta <= tol, m2 = sin theta sin beta
             beta, alpha, gamma = 0.0, 0.0, _mod(s1, _TAU)
             flags.append("beta=0")
-        elif m1 <= _STRATUM_TOL:
+        elif m1 <= _STRATUM_TOL * stheta:
             beta, alpha, gamma = math.pi / 2, 0.0, _mod(-d1, _TAU)
             flags.append("beta=pi/2")
 
@@ -599,12 +600,13 @@ def _decompose_one(u: np.ndarray):
 def _decompose_stack(u: np.ndarray):
     """:func:`decompose` of an (n, 3, 3) stack of admitted matrices: the stages
     of :func:`_decompose_one` on columns, with its bits.  A row with a modulus
-    of psi or a stripped modulus at or below the stratum tolerance is redone
-    by :func:`_decompose_one`; the others have no flags."""
+    of psi or a stripped modulus at or below the stratum tolerance, scaled by
+    a sin theta above 1, is redone by :func:`_decompose_one`; others have no flags."""
     psi = u[:, :, 2]
     m1, m2, m3 = mod = np.abs(psi).T
+    stheta = np.hypot(m1, m2)
     theta, beta, arg0, arg1, arg2 = np.arctan2(
-        [np.hypot(m1, m2), m2, psi[:, 0].imag, -psi[:, 1].imag, psi[:, 2].imag],
+        [stheta, m2, psi[:, 0].imag, -psi[:, 1].imag, psi[:, 2].imag],
         [m3, m1, psi[:, 0].real, -psi[:, 1].real, psi[:, 2].real])
     _, _, alpha, gamma = _left_pair(arg0, arg1, arg2)
     x = np.stack([alpha + gamma, alpha - gamma, beta, theta])
@@ -615,7 +617,8 @@ def _decompose_stack(u: np.ndarray):
     phi, _, _, a, c = _right_pair(arg22, s2, d2)
     angles = np.stack([alpha, beta, gamma, theta, a, b, c, phi], axis=1)
     flags: list[list[str]] = [[] for _ in range(len(u))]
-    near = (mod.min(axis=0) <= _STRATUM_TOL) | (np.minimum(cb, sb) <= _STRATUM_TOL)
+    near = ((mod.min(axis=0) <= _STRATUM_TOL * np.maximum(stheta, 1.0))
+            | (np.minimum(cb, sb) <= _STRATUM_TOL))
     for i in np.flatnonzero(near):
         angles[i], flags[i] = _decompose_one(u[i])
     return angles, flags

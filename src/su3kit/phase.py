@@ -14,10 +14,11 @@ its curvature two-form is
 
 and the geometric phase of a closed loop is the line integral of A with the
 d phi term dropped (on a loop closed in the chart that term integrates to
-zero anyway; pass ``include_dphi=True`` to keep it).  A gauge-independent
-discrete oracle computes the same phase as the accumulated argument of the
-overlap chain <psi_k | psi_k+1> around the loop, its states evaluated by
-``group._evaluate``.
+zero anyway; pass ``include_dphi=True`` to keep it).  Both integrals are
+exact, a few cosines a segment or rectangle.  A gauge-independent discrete
+oracle computes the same phase, to second order in its step, as the
+accumulated argument of the overlap chain <psi_k | psi_k+1> along the
+sampled loop, its states evaluated by ``group._evaluate``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class LoopSpec:
 
     waypoints : (m, 8) array of finite angles, consecutive rows joined by
         straight segments.
-    samples_per_segment : trapezoid subintervals per segment, an integer >= 1.
+    samples_per_segment : steps per segment of :func:`phase_pancharatnam`'s
+        overlap chain, an integer >= 1.
     """
 
     waypoints: np.ndarray
@@ -78,18 +80,23 @@ class LoopSpec:
 
 def connection(angles) -> np.ndarray:
     """Connection covector at a point, over (d alpha, ..., d phi)."""
-    return _connection(_points(angles, one=True)[None], include_dphi=True)[0]
+    p = _points(angles, one=True)
+    alpha, gamma = _mean_connection(p[_THETA], p[_BETA], 0.0, 0.0)
+    return np.array([alpha, 0.0, gamma, 0.0, 0.0, 0.0, 0.0, _DPHI])
 
 
-def _connection(points: np.ndarray, include_dphi: bool) -> np.ndarray:
-    """Connection covectors of an (n, 8) batch, one row per point."""
-    s2 = np.sin(points[:, _THETA]) ** 2
-    cov = np.zeros_like(points)
-    cov[:, _ALPHA] = s2 * np.cos(2 * points[:, _BETA])
-    cov[:, _GAMMA] = s2
-    if include_dphi:
-        cov[:, _PHI] = _DPHI
-    return cov
+def _mean_connection(theta, beta, d_theta, d_beta):
+    """(alpha, gamma) components of the connection averaged over a straight
+    step with middle (theta, beta) that moves them by (d_theta, d_beta).
+    sin^2 theta cos 2 beta = cos 2 beta / 2 - (cos(2 theta + 2 beta) +
+    cos(2 theta - 2 beta)) / 4, sin^2 theta = (1 - cos 2 theta) / 2, and a
+    cosine c + k t over t in [-1/2, 1/2] averages cos(c) sinc(k / 2 pi);
+    cos(2 theta +- 2 beta) comes from products, so no argument overflows."""
+    c2t, s2t, c2b, s2b = np.cos(2 * theta), np.sin(2 * theta), np.cos(2 * beta), np.sin(2 * beta)
+    st, sb, sp, sm = np.sinc(
+        np.array([d_theta, d_beta, d_theta + d_beta, d_theta - d_beta]) / np.pi)
+    alpha = c2b * sb / 2 - ((c2t * c2b - s2t * s2b) * sp + (c2t * c2b + s2t * s2b) * sm) / 4
+    return alpha, (1 - c2t * st) / 2
 
 
 def curvature(angles) -> np.ndarray:
@@ -104,17 +111,19 @@ def curvature(angles) -> np.ndarray:
 def phase_connection(loop: LoopSpec, include_dphi: bool = False) -> float:
     """Line integral of the connection around a closed loop (radians).
 
-    Composite trapezoid on each straight segment; the d phi term is dropped
-    unless ``include_dphi`` (it cancels exactly on chart-closed loops).
-    Not reduced modulo 2 pi.  Waypoints so far apart that the sum overflows
-    raise ValueError.
+    Exact, whatever ``loop.samples_per_segment``: each segment adds its step
+    dotted with the mean connection over it.  The d phi term is dropped
+    unless ``include_dphi`` (it cancels exactly on chart-closed loops).  Not
+    reduced modulo 2 pi.  Waypoints so far apart that a step's d theta +-
+    d beta or the sum overflows raise ValueError.
     """
-    pts = loop.sample_points()
-    cov = _connection(pts, include_dphi)
-    # integrand at t_k is cov . dp/dt; dp is constant per sampling step
-    steps = pts[1:] - pts[:-1]
-    vals = 0.5 * np.einsum('mk,mk->m', cov[:-1] + cov[1:], steps)
-    return _finite(vals.sum, "the line integral over these waypoints")
+    w = loop.waypoints
+    mid, step = ((w[:-1] + w[1:]) / 2).T, (w[1:] - w[:-1]).T
+    with np.errstate(over="ignore", invalid="ignore"):      # refused by _finite, unwarned
+        alpha, gamma = _mean_connection(mid[_THETA], mid[_BETA], step[_THETA], step[_BETA])
+        dphi = _DPHI * step[_PHI] if include_dphi else 0.0
+        total = (alpha * step[_ALPHA] + gamma * step[_GAMMA] + dphi).sum()
+    return _finite(total, "the line integral over these waypoints")
 
 
 def phase_pancharatnam(loop: LoopSpec) -> float:
@@ -181,13 +190,13 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     bounds : ((x0, x1), (y0, y1))
         Finite rectangle bounds along the two axes.
     samples : (nx, ny)
-        Tensor-product trapezoid resolution, integers >= 1.
+        Integers >= 1, checked but no longer used.
 
     Matches :func:`phase_connection` of the boundary loop
-    ``_rectangle_corners(base, axes, bounds)``.  The curvature depends on
-    theta and beta alone, and each nonzero component on at most one of the
-    two axes, so it is evaluated on that axis only: O(nx + ny) work.  Bounds
-    so wide that the quadrature overflows raise ValueError.
+    ``_rectangle_corners(base, axes, bounds)``.  Exact: each nonzero
+    component is sin 2v, v theta or beta and an axis, times a factor constant
+    on the rectangle, so the integral is the area times the component at the
+    middle times sinc(dv / pi).  Bounds whose area overflows raise ValueError.
     """
     i, j = (_axis_index(ax) for ax in axes)
     if i == j:
@@ -195,32 +204,28 @@ def phase_curvature(base, axes: tuple, bounds: tuple,
     try:
         (x0, x1), (y0, y1) = bounds
         nx, ny = samples
-        _points((x0, x1, y0, y1) * 2, one=True)     # the bounds are chart angles too
+        x0, x1, y0, y1 = _points((x0, x1, y0, y1) * 2, one=True)[:4]   # chart angles too
     except (TypeError, ValueError):
         raise ValueError(f"bounds must be two pairs of chart angles, samples two counts: "
                          f"{bounds!r}, {samples!r}") from None
     for n in samples:
         _check_count(n, "samples entries")
     point = list(_points(base, one=True))
-    xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
-    point[i], point[j] = xs[:, None], ys[None, :]
-    f = np.atleast_2d(_curvature_component(point[_THETA], point[_BETA], i, j))
-    wx, wy = _trapezoid_weights(xs), _trapezoid_weights(ys)
-    # an axis the component does not vary along contributes its summed weights
-    if f.shape[0] == 1:
-        wx = wx.sum(keepdims=True)
-    if f.shape[1] == 1:
-        wy = wy.sum(keepdims=True)
-    return _finite(lambda: wx @ f @ wy, "the curvature integral over these bounds")
+    point[i], point[j] = (x0 + x1) / 2, (y0 + y1) / 2
+    with np.errstate(over="ignore", invalid="ignore"):      # refused by _finite, unwarned
+        value = (x1 - x0) * (y1 - y0) * _curvature_component(point[_THETA], point[_BETA], i, j)
+        for k, d in ((i, x1 - x0), (j, y1 - y0)):
+            if k in (_THETA, _BETA):
+                value = value * np.sinc(d / np.pi)
+    return _finite(value, "the curvature integral over these bounds")
 
 
-def _finite(compute, what: str) -> float:
-    """compute() as a float; ValueError, and no warning, where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(compute())
+def _finite(value, what: str) -> float:
+    """value as a float, computed with overflow warnings off; ValueError
+    where it is not finite."""
     if not np.isfinite(value):
         raise ValueError(f"{what} overflows")
-    return value
+    return float(value)
 
 
 def _rectangle_corners(base, axes: tuple, bounds: tuple) -> np.ndarray:
@@ -240,14 +245,6 @@ def _axis_index(ax) -> int:
     if isinstance(ax, (int, np.integer)) and not isinstance(ax, bool) and 0 <= ax < 8:
         return int(ax)
     raise ValueError(f"axes entries must be coordinate names or integers in 0..7, got {ax!r}")
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
 
 
 def _curvature_component(theta, beta, i: int, j: int):

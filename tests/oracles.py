@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 Deliberately separate from the library code paths they check: a generic
-scaling-and-squaring matrix exponential, central finite differences, the
-Maurer-Cartan coefficients from the chain of chart factors, a
+scaling-and-squaring matrix exponential, central finite differences, a
+composite trapezoid, the Maurer-Cartan coefficients from the chain of
+chart factors, a
 Kolmogorov-Smirnov uniformity test, and a bytecode scan for matrix products;
 the tables of the public entries that take chart points and matrices,
 which the input-contract tests run through; and a set of chart points that
@@ -40,6 +41,13 @@ def central_difference(f, p: np.ndarray, j: int, h: float = 1e-6):
     pp[j] += h
     pm[j] -= h
     return (f(pp) - f(pm)) / (2 * h)
+
+
+def trapezoid(f, lo: float, hi: float, n: int) -> float:
+    """Composite trapezoid of the scalar function f over [lo, hi] with n
+    equal steps h: the integral plus c h^2 + O(h^4), c independent of n."""
+    y = [f(x) for x in np.linspace(lo, hi, n + 1)]
+    return (hi - lo) / n * (sum(y[1:-1]) + (y[0] + y[-1]) / 2)
 
 
 def chain_coeffs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

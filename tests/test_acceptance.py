@@ -95,7 +95,7 @@ def test_criterion_09_phase_triple_agreement():
 
     # Stokes on (theta, gamma) rectangles
     base = np.array([0.3, 0.4, 0.0, 0.0, 0.5, 0.6, 0.7, 0.8])
-    worst = max(verify.stokes_rectangle(base, bounds, (2048, 64), 2048)
+    worst = max(verify.stokes_rectangle(base, bounds)
                 for bounds in [((0.0, np.pi / 4), (0.0, 2 * np.pi)),
                                ((0.2, 1.1), (0.3, 2.4)),
                                ((0.6, 1.4), (0.5, 1.9))])

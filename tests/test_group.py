@@ -400,6 +400,34 @@ def test_decompose_round_trips_near_strata():
     assert worst <= 1e-11
 
 
+def test_decompose_flags_no_beta_stratum_near_theta_zero():
+    # |u[0, 2]| and |u[1, 2]| are sin theta cos beta and sin theta sin beta,
+    # so beta's strata are judged relative to sin theta: a small theta alone
+    # flags none of them and snaps no beta (an absolute test flagged 8 of
+    # these points at theta = 1e-11 and 87 at 3e-12, round trips 9.9e-13)
+    pts = haar_angles(np.random.default_rng(0), 400)
+    for theta in (1e-9, 1e-11, 3e-12):
+        pts[:, 3] = theta
+        mats = group.compose_batch(pts)
+        angles, flags = decompose(mats)
+        assert not any(flags)
+        assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
+        for u, row in zip(mats, angles):
+            single, single_flags = decompose(u)
+            assert not single_flags and row.tobytes() == single.as_array().tobytes()
+
+
+def test_decompose_stack_redoes_the_beta_strata_of_a_column_longer_than_one():
+    # admitted at a loose tol, u[:, 2] may be longer than 1: |u[1, 2]| =
+    # 1.0005e-12 is within 1e-12 sin theta = 1.001e-12, so the one-matrix
+    # path flags beta=0, and the stack must redo that row too
+    u = compose([0.4, 0.9995e-12, 0.9, np.pi / 2 - 1e-3, 0.2, 0.3, 0.4, 0.5]) * 1.001
+    single, single_flags = decompose(u, tol=1e-2)
+    rows, flags = decompose(u[None], tol=1e-2)
+    assert single_flags == flags[0] == ["beta=0"]
+    assert rows[0].tobytes() == single.as_array().tobytes()
+
+
 def test_decompose_rejects_non_unitary_input():
     with pytest.raises(ValueError, match="not unitary"):
         decompose(np.eye(3) * 1.5)

@@ -3,12 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit import phase, states, verify
 from su3kit.group import ANGLE_NAMES, compose_batch
 from su3kit.measure import sample_haar
 
-from oracles import central_difference, chart_entry_fns
+from oracles import central_difference, chart_entry_fns, trapezoid
 
 HALF_MAX = sys.float_info.max / 2
 
@@ -128,8 +130,9 @@ def test_overlap_chain_phase_refuses_infinite_overlaps_and_non_numbers():
 
 
 def test_line_integral_refuses_waypoints_whose_sum_overflows():
-    # two admitted waypoints at +-max/2 in beta, gamma and theta: the
-    # trapezoid sum overflows, and the route refuses it without a warning
+    # two admitted waypoints at +-max/2 in beta, gamma and theta: the step
+    # between them moves theta + beta by twice the largest float, and the
+    # route refuses it without a warning
     w = np.zeros((4, 8))
     w[:, 3] = 0.4
     w[1, 1:4], w[2, 1:4] = HALF_MAX, -HALF_MAX
@@ -184,7 +187,7 @@ def test_constant_loop_has_zero_phase():
 
 def test_gamma_circle_closed_form():
     conn, panch = verify.gamma_circle(10_000)
-    assert conn <= 1e-6
+    assert conn <= 1e-14                # exact up to rounding
     assert panch <= 1e-4
     # verify samples the circle once for both routes, with the public calls' bits
     loop = gamma_circle(samples=10_000)
@@ -214,54 +217,58 @@ def test_stokes_rectangle_agreement():
     for bounds in [((0.0, np.pi / 4), (0.0, 2 * np.pi)),
                    ((0.2, 1.1), (0.3, 2.4)),
                    ((0.5, 0.9), (1.0, 1.7))]:
-        assert verify.stokes_rectangle(base, bounds, (2048, 64), 2048) <= 1e-6
+        assert verify.stokes_rectangle(base, bounds) <= 1e-14    # two exact integrals
 
 
 def test_curvature_rectangle_closed_form():
     base = np.zeros(8)
     got = phase.phase_curvature(base, ("theta", "gamma"),
-                                ((0.0, np.pi / 4), (0.0, 2 * np.pi)),
-                                samples=(4096, 16))
-    assert got == pytest.approx(np.pi, abs=1e-6, rel=0)
-    zero = phase.phase_curvature(base, ("theta", "gamma"),
-                                 ((0.3, 0.3), (0.0, 2 * np.pi)), samples=(64, 64))
+                                ((0.0, np.pi / 4), (0.0, 2 * np.pi)))
+    assert got == pytest.approx(np.pi, abs=1e-15, rel=0)
+    zero = phase.phase_curvature(base, ("theta", "gamma"), ((0.3, 0.3), (0.0, 2 * np.pi)))
     assert zero == 0.0
 
 
 def test_curvature_rectangles_carrying_beta_closed_form():
     t0, t1, b0, b1, a0, a1 = 0.2, 1.1, 0.3, 0.9, 0.4, 2.0
     base = np.array([0.0, 0.5, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
-    got = phase.phase_curvature(base, ("theta", "alpha"), ((t0, t1), (a0, a1)),
-                                samples=(4096, 4))
+    got = phase.phase_curvature(base, ("theta", "alpha"), ((t0, t1), (a0, a1)))
     want = (np.cos(2 * t0) - np.cos(2 * t1)) / 2 * np.cos(2 * base[1]) * (a1 - a0)
-    assert got == pytest.approx(want, abs=1e-6, rel=0)
-    got = phase.phase_curvature(base, ("beta", "alpha"), ((b0, b1), (a0, a1)),
-                                samples=(4096, 4))
+    assert got == pytest.approx(want, abs=1e-15, rel=0)
+    got = phase.phase_curvature(base, ("beta", "alpha"), ((b0, b1), (a0, a1)))
     want = -np.sin(base[3]) ** 2 * (np.cos(2 * b0) - np.cos(2 * b1)) * (a1 - a0)
-    assert got == pytest.approx(want, abs=1e-6, rel=0)
+    assert got == pytest.approx(want, abs=1e-15, rel=0)
+
+
+def richardson(integral, n):
+    """integral(n), a trapezoid rule of n steps an axis, at n and 2n,
+    extrapolated past its h^2 term: the integral to O(h^4)."""
+    return (4 * integral(2 * n) - integral(n)) / 3
 
 
 @pytest.mark.parametrize("axes", [("theta", "gamma"), ("theta", "alpha"), ("beta", "alpha"),
                                   ("gamma", "theta"), ("alpha", "beta"), ("beta", "theta")])
 def test_curvature_equals_the_tensor_product_trapezoid(axes):
-    # phase_curvature sums the weights of an axis the component does not
-    # vary along; the full grid sum of the pointwise two-form is the reference
+    # the reference is the oracle's trapezoid over both axes of the pointwise
+    # two-form, at 32 and 64 steps an axis, extrapolated (its error is ~2e-9);
+    # the exact integral is its limit.  (beta, theta) is a pair whose
+    # component is zero.
     base = np.array([0.3, 0.4, 0.5, 0.7, 0.5, 0.6, 0.7, 0.8])
-    bounds, (nx, ny) = ((0.2, 1.1), (0.3, 0.9)), (37, 23)
+    bounds = ((0.2, 1.1), (0.3, 0.9))
     i, j = (ANGLE_NAMES.index(ax) for ax in axes)
-    nodes = []                          # (coordinate, trapezoid weight) per axis
-    for (lo, hi), n in zip(bounds, (nx, ny)):
-        w = np.full(n + 1, (hi - lo) / n)
-        w[[0, -1]] /= 2
-        nodes.append(list(zip(np.linspace(lo, hi, n + 1), w)))
-    want = 0.0
-    for x, w_x in nodes[0]:
-        for y, w_y in nodes[1]:
-            p = base.copy()
-            p[i], p[j] = x, y
-            want += w_x * w_y * phase.curvature(p)[i, j]
-    got = phase.phase_curvature(base, axes, bounds, samples=(nx, ny))
-    assert got == pytest.approx(want, abs=1e-14, rel=1e-14)
+
+    def two_form(x, y):
+        p = base.copy()
+        p[i], p[j] = x, y
+        return phase.curvature(p)[i, j]
+
+    (x0, x1), (y0, y1) = bounds
+    want = richardson(lambda n: trapezoid(
+        lambda x: trapezoid(lambda y: two_form(x, y), y0, y1, n), x0, x1, n), 32)
+    got = phase.phase_curvature(base, axes, bounds)
+    assert got == pytest.approx(want, abs=1e-8, rel=0)
+    if axes == ("beta", "theta"):
+        assert got == 0.0
 
 
 @pytest.mark.parametrize("samples", [(0, 64), (64, 0), (-1, 1)])
@@ -300,7 +307,7 @@ def test_curvature_refuses_bad_arguments(argument, value):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_curvature_keeps_peak_memory_low():
-    # the curvature is evaluated on the two rectangle axes only; an
+    # the integral is exact, so samples allocates nothing; an
     # (nx + 1)(ny + 1) x 8 grid of chart points would grow the peak by 67 MB
     code = """
 import numpy as np
@@ -333,14 +340,63 @@ def test_phase_orientation_reversal():
     assert rev == pytest.approx(-fwd, abs=1e-12, rel=0)
 
 
-def test_reparameterization_second_order_convergence():
+def test_pancharatnam_converges_at_second_order_to_the_exact_phase():
+    # the overlap chain's error against the exact line integral falls by 4
+    # each time the step halves, as phase_pancharatnam's docstring states
     rng = np.random.default_rng(8)
     w = rng.uniform(0.3, 1.2, size=(4, 8))
     w[-1] = w[0]
-    values = [phase.phase_connection(phase.LoopSpec(w, samples_per_segment=m))
-              for m in (16, 32, 64)]
-    ratio = (values[0] - values[1]) / (values[1] - values[2])
-    assert 2.5 <= ratio <= 5.5
+    exact = phase.phase_connection(phase.LoopSpec(w))
+    errors = [phase.phase_pancharatnam(phase.LoopSpec(w, samples_per_segment=m)) - exact
+              for m in (32, 64, 128, 256)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
+
+
+def line_trapezoid(waypoints, n):
+    """The oracle's trapezoid of the pointwise connection, d phi included,
+    along each straight segment, at n and 2n steps a segment, extrapolated."""
+    total = 0.0
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        step = q - p
+        total += richardson(lambda m: trapezoid(
+            lambda t: phase.connection(p + t * step) @ step, 0.0, 1.0, m), n)
+    return total
+
+
+def test_line_integral_equals_the_trapezoid_oracle():
+    rng = np.random.default_rng(10)
+    for _ in range(8):
+        w = rng.uniform(-0.5, 2.0, size=(6, 8))
+        w[-1] = w[0]
+        loop = phase.LoopSpec(w)
+        want = line_trapezoid(w, 64)
+        assert phase.phase_connection(loop, include_dphi=True) == pytest.approx(
+            want, abs=1e-8, rel=0)
+        assert phase.phase_connection(loop) == pytest.approx(want, abs=1e-8, rel=0)
+
+
+# loops of 3 to 7 waypoints, the last repeating the first
+closed_waypoints = st.lists(st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+                            min_size=2, max_size=6).map(lambda rows: np.array(rows + rows[:1]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(closed_waypoints, st.integers(0, 5), st.floats(0.01, 0.99))
+def test_splitting_a_segment_changes_the_line_integral_by_rounding(w, k, s):
+    k %= len(w) - 1
+    split = np.insert(w, k + 1, w[k] + s * (w[k + 1] - w[k]), axis=0)
+    whole, parts = (phase.phase_connection(phase.LoopSpec(x)) for x in (w, split))
+    assert abs(whole - parts) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(closed_waypoints)
+def test_reversing_a_loop_negates_its_line_integral(w):
+    loop = phase.LoopSpec(w)
+    for include_dphi in (False, True):
+        forward = phase.phase_connection(loop, include_dphi)
+        assert abs(phase.phase_connection(loop.reversed(), include_dphi) + forward) <= 1e-13
 
 
 def test_pancharatnam_gauge_robustness():
