@@ -20,8 +20,8 @@ Everything else is linear algebra on b and c:
 
 Every public function here reads its points with ``group._points``, so an
 (n, 8) batch gives the stack of the per-point results.  All but
-``haar_density_closed`` and the one-point ``left_coeffs`` run one stacked
-kernel (``_coeff_stacks``), one point being a batch of one row; the fields,
+``haar_density_closed`` and the one-point ``left_coeffs`` run one kernel
+(``_coeff_stacks``), on the (8,) point itself or on the batch; the fields,
 forms and frames reach it through ``_coeffs``, which first refuses points
 where b is singular, and take A = (b^T)^-1 in ``_fields`` alone.  It follows
 the nesting D = U(alpha, beta, gamma) exp(i l5 theta) V(a, b, c)
@@ -34,13 +34,14 @@ closed form in U's entries A = cos(beta) e^(i (alpha + gamma)) and
 B = sin(beta) e^(i (alpha - gamma)) and in theta (``_images``); the right
 side reads it at (-c, -b, -a) and -theta, its doublet rows turned by
 exp(i sqrt(3) phi).  A point thus takes the nine cosines and sines of
-``group._chart_args`` and a few hundred real products and sums
-(``_coeff_entries``, A and B by ``compose``'s ``group._su2_entries``), run
-by ``compose_batch``'s evaluator ``group._evaluate`` with the same bits on
-Python floats and on columns: no chart product, sandwich or projection.  The
-one-point ``left_coeffs`` keeps the factor-by-factor loop as the
-reference, whose eight ``exp_generator`` calls the benchmark's tracer test
-counts; the kernel agrees with it to a few units in the last place.
+``group._chart_args`` and a few hundred real products and sums (347 for b
+and c, whose bits a test pins; ``_coeff_entries``, A and B by ``compose``'s
+``group._su2_entries``), run by ``compose_batch``'s evaluator
+``group._evaluate`` with the same bits on Python floats and on columns: no
+chart product, sandwich or projection.  The one-point ``left_coeffs`` keeps
+the factor-by-factor loop as the reference, whose eight ``exp_generator``
+calls the benchmark's tracer test counts; the kernel agrees with it to a few
+units in the last place.
 ``closed_form_comparison`` evaluates each table on its whole batch against
 one ``frame`` call.  It and ``matches_documented_catalogue`` import
 ``closed_forms`` only when called.
@@ -103,6 +104,23 @@ def _double(c, s):
     return 2 * (s * c), c * c - s * s
 
 
+def _lin(a, xs, b, ys):
+    """a x + b y over the first seven entries of xs and ys, written out: a
+    comprehension would cost a call of its own."""
+    return (a * xs[0] + b * ys[0], a * xs[1] + b * ys[1], a * xs[2] + b * ys[2],
+            a * xs[3] + b * ys[3], a * xs[4] + b * ys[4], a * xs[5] + b * ys[5],
+            a * xs[6] + b * ys[6])
+
+
+def _turn(c, s, xs, ys):
+    """``_lin(c, xs, s, ys)`` and c y - s x over the first seven entries: each
+    pair (x, y) turned through the angle whose cosine and sine are c and s."""
+    return _lin(c, xs, s, ys), (c * ys[0] - s * xs[0], c * ys[1] - s * xs[1],
+                                c * ys[2] - s * xs[2], c * ys[3] - s * xs[3],
+                                c * ys[4] - s * xs[4], c * ys[5] - s * xs[5],
+                                c * ys[6] - s * xs[6])
+
+
 def _coeff_entries(cos, sin, sides) -> list:
     """The 64 entries of b, c or both in turn, column by column, from the
     cosines and sines of :func:`group._chart_args` as Python floats (one point)
@@ -119,20 +137,18 @@ def _coeff_entries(cos, sin, sides) -> list:
         s2a, c2a = _double(ca, sa)
         ab = _su2_entries(cal, sal, cbe, sbe, cga, sga)
         g1, g2, g3, g5, r3, ss = _images(*ab, cth, sth, ab + ab)
-        t = [s2a * y - c2a * x for x, y in zip(g1, g2)]     # (c column - cos 2b g3) / sin 2b
-        if sides == _REDUCED:
-            col_c = [*t, 0.0]
-        else:
-            col_c = [*[s2b * x + c2b * y for x, y in zip(t, g3)], c2b * g3[7]]
+        col_b, t = _turn(s2a, c2a, g1, g2)      # t: (c column - cos 2b g3) / sin 2b
+        g8 = g3[7]
+        col_c = (*t, 0.0) if sides == _REDUCED else (*_lin(s2b, t, c2b, g3), c2b * g8)
         out += [0.0, 0.0, 1.0, *z3, 0.0, 0.0,                     # alpha, beta, gamma: W
                 s2al, c2al, 0.0, *z3, 0.0, 0.0,
                 -c2al * s2be, s2al * s2be, c2be, *z3, 0.0, 0.0,
                 *z3, *g5, 0.0,                                    # theta: Ad(Q) l5
                 *g3,                                              # a, b, c: Ad(Q) of W(a, b)
-                *[s2a * x + c2a * y for x, y in zip(g1, g2)], 0.0,
+                *col_b, 0.0,
                 *col_c,
-                *[g3[7] * x for x in r3],                         # phi: Ad(Q) l8
-                *[_SQRT3 * x for x in g3[3:7]], 1.0 - 1.5 * ss]
+                g8 * r3[0], g8 * r3[1], g8 * r3[2],               # phi: Ad(Q) l8
+                _SQRT3 * g3[3], _SQRT3 * g3[4], _SQRT3 * g3[5], _SQRT3 * g3[6], 1.0 - 1.5 * ss]
     if sides in (RIGHT, BOTH):
         s2ga, c2ga = _double(cga, sga)
         s2c, c2c = _double(cc, sc)
@@ -142,9 +158,9 @@ def _coeff_entries(cos, sin, sides) -> list:
         d = (ar * cp + ai * sp, ai * cp - ar * sp, br * cp + bi * sp, bi * cp - br * sp,
              ar * cp - ai * sp, ai * cp + ar * sp, br * cp - bi * sp, bi * cp + br * sp)
         h1, h2, h3, h5, _, _ = _images(ar, ai, br, bi, cth, -sth, d)
-        out += [*[s2be * (c2ga * x + s2ga * y) + c2be * w for x, y, w in zip(h1, h2, h3)],
-                c2be * h3[7],                                     # alpha, beta, gamma:
-                *[c2ga * y - s2ga * x for x, y in zip(h1, h2)], 0.0,  # Ad(Q'^dag) of W
+        col_w, col_beta = _turn(c2ga, s2ga, h1, h2)
+        out += [*_lin(s2be, col_w, c2be, h3), c2be * h3[7],     # alpha, beta, gamma:
+                *col_beta, 0.0,                                   # Ad(Q'^dag) of W
                 *h3,
                 *z3, *h5, 0.0,                                    # theta: Ad(Q'^dag) l5
                 c2c * s2b, s2c * s2b, c2b, *z3, 0.0, 0.0,         # a, b, c: W(c, b)
@@ -157,12 +173,14 @@ def _coeff_entries(cos, sin, sides) -> list:
 def _coeff_stacks(p: np.ndarray, sides=BOTH) -> np.ndarray:
     """The stack (b, c) of a point from ``group._points``, as (2, 8, 8), or of
     an (n, 8) batch, as (2, n, 8, 8), without the leading axis for one side
-    (``sides``): ``group._evaluate`` of the entries, which run column by column."""
+    (``sides``): ``group._evaluate`` of the entries, which run column by
+    column, on the (8,) point itself or on the batch."""
     out = _evaluate(lambda cos, sin: _coeff_entries(cos, sin, sides), _chart_args,
-                    p.reshape(-1, 8), 128 if sides == BOTH else 64)
-    out = out.reshape(p.shape[:-1] + (out.shape[-1] // 64, 8, 8)).swapaxes(-1, -2)
-    out = out if p.ndim == 1 else out.swapaxes(0, 1)
-    return out if sides == BOTH else out[0]
+                    p, 128 if sides == BOTH else 64)
+    if sides != BOTH:
+        return out.reshape(p.shape[:-1] + (8, 8)).swapaxes(-1, -2)
+    out = out.reshape(p.shape[:-1] + (2, 8, 8)).swapaxes(-1, -2)
+    return out if p.ndim == 1 else out.swapaxes(0, 1)
 
 
 def left_coeffs(angles) -> np.ndarray:
@@ -287,7 +305,8 @@ def haar_density(angles):
     Every Ad(Q) column still goes through the LU, so the closed form checks them.
     """
     p = _points(angles)
-    value = np.abs(np.linalg.det(_coeff_stacks(p, _REDUCED)) * np.sin(2 * p[..., 5]))
+    b = p[5] if p.ndim == 1 else p[:, 5]
+    value = np.abs(np.linalg.det(_coeff_stacks(p, _REDUCED)) * np.sin(2 * b))
     value /= DENSITY_DET_RATIO
     return float(value) if p.ndim == 1 else value
 

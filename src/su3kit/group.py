@@ -29,7 +29,7 @@ Each chart formula (trig arguments, SU(2) block, chart product and its
 third column psi, and the stripping and two angle stages of ``decompose``)
 is written once, in real products and sums in a fixed order, and runs on
 Python floats for one point or matrix and on numpy columns for a batch
-(of chart points, by ``_evaluate``), with the same bits.  A complex product
+(chart points go through ``_evaluate`` either way), with the same bits.  A complex product
 would not: numpy's fuses a multiply and an add where CPython's does not.
 ``decompose``'s stratum conventions live in its one-matrix path.
 
@@ -200,14 +200,19 @@ def _cos_sin(values):
 
 # Rows per block of _evaluate: it bounds a kernel's temporaries at any batch size.
 _BLOCK = 2048
-# Fewer rows go one by one on Python floats: ~19 us a row of b and c, ~220 us for 12 on columns.
+# Fewer rows go one by one on Python floats: ~14.5 us a row of b and c, ~195 us for 12 on
+# columns.  Floats stay quicker up to 12-14 rows for b and c and for the chart, 7 for psi:
+# one crossover for all of them.
 _COLUMNS_FROM = 12
 
 
 def _evaluate(kernel, args, points: np.ndarray, width: int) -> np.ndarray:
     """(n, width) floats, row k ``kernel(cos, sin)`` of the cosines and sines of
     ``args(*points[k])`` for (n, 8) chart points: ``_BLOCK`` rows at a time, one
-    by one on Python floats below ``_COLUMNS_FROM`` rows, else on columns (same bits)."""
+    by one on Python floats below ``_COLUMNS_FROM`` rows, else on columns (same
+    bits).  One (8,) point gives its (width,) row alone, from Python floats."""
+    if points.ndim == 1:
+        return np.fromiter(kernel(*_cos_sin(args(*points.tolist()))), float, width)
     out = np.empty((len(points), width))
     for i in range(0, len(points), _BLOCK):
         rows, block = points[i:i + _BLOCK], out[i:i + _BLOCK]
@@ -293,9 +298,9 @@ def _chart_entries(cos, sin):
 
 def compose(angles) -> np.ndarray:
     """Chart coordinates -> SU(3) matrix (the ordered 8-factor product), in
-    closed form (:func:`_chart_entries` on Python floats)."""
-    cos, sin = _cos_sin(_chart_args(*_points(angles, one=True).tolist()))
-    return np.array(_chart_entries(cos, sin)).view(complex).reshape(3, 3)
+    closed form (:func:`_chart_entries` on Python floats, by :func:`_evaluate`)."""
+    row = _evaluate(_chart_entries, _chart_args, _points(angles, one=True), 18)
+    return row.view(complex).reshape(3, 3)
 
 
 def compose_batch(points: np.ndarray) -> np.ndarray:

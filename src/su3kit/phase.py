@@ -89,14 +89,17 @@ def _mean_connection(theta, beta, d_theta, d_beta):
     """(alpha, gamma) components of the connection averaged over a straight
     step with middle (theta, beta) that moves them by (d_theta, d_beta).
     sin^2 theta cos 2 beta = cos 2 beta / 2 - (cos(2 theta + 2 beta) +
-    cos(2 theta - 2 beta)) / 4, sin^2 theta = (1 - cos 2 theta) / 2, and a
-    cosine c + k t over t in [-1/2, 1/2] averages cos(c) sinc(k / 2 pi);
-    cos(2 theta +- 2 beta) comes from products, so no argument overflows."""
-    c2t, s2t, c2b, s2b = np.cos(2 * theta), np.sin(2 * theta), np.cos(2 * beta), np.sin(2 * beta)
+    cos(2 theta - 2 beta)) / 4 and sin^2 theta = (1 - cos 2 theta) / 2, and a
+    cosine c + k t over t in [-1/2, 1/2] averages cos(c) sinc(k / 2 pi); with
+    cos 2 theta = 1 - 2 sin^2 theta the means keep sin^2 theta as sin(theta)
+    squared, exact to a few ulp at a zero step however small theta is, and
+    cos(2 theta +- 2 beta) splits into products, so no argument overflows."""
+    s, s2t, c2b, s2b = np.sin(theta), np.sin(2 * theta), np.cos(2 * beta), np.sin(2 * beta)
     st, sb, sp, sm = np.sinc(
         np.array([d_theta, d_beta, d_theta + d_beta, d_theta - d_beta]) / np.pi)
-    alpha = c2b * sb / 2 - ((c2t * c2b - s2t * s2b) * sp + (c2t * c2b + s2t * s2b) * sm) / 4
-    return alpha, (1 - c2t * st) / 2
+    ss, mean = s * s, (sp + sm) / 2
+    alpha = c2b * (sb - mean) / 2 + c2b * ss * mean + s2t * s2b * (sp - sm) / 4
+    return alpha, (1 - st) / 2 + st * ss
 
 
 def curvature(angles) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -242,8 +243,9 @@ def test_density_near_strata_matches_the_closed_form():
 def test_kernel_makes_no_matrix_products_and_no_lapack_calls(monkeypatch):
     pts = np.concatenate([sample_haar(47, 40), near_strata_points(48, 2)])
     sides = (cartan.LEFT, cartan.RIGHT, cartan.BOTH, cartan._REDUCED)
-    # 1 and 8 rows go one at a time on Python floats, 52 on columns
-    expected = [cartan._coeff_stacks(pts[:n], s) for n in (1, 8, 52) for s in sides]
+    # one point and 1 and 8 rows go on Python floats, 52 rows on columns
+    batches = (pts[0], pts[:1], pts[:8], pts[:52])
+    expected = [cartan._coeff_stacks(x, s) for x in batches for s in sides]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the kernel must not call this")
@@ -255,13 +257,40 @@ def test_kernel_makes_no_matrix_products_and_no_lapack_calls(monkeypatch):
     monkeypatch.setattr(np, "matmul", forbidden)
     monkeypatch.setattr(np, "einsum", forbidden)
     monkeypatch.setattr(np, "linalg", NoLinalg())
-    got = [cartan._coeff_stacks(pts[:n], s) for n in (1, 8, 52) for s in sides]
+    got = [cartan._coeff_stacks(x, s) for x in batches for s in sides]
     assert all(same_bits(g, e) for g, e in zip(got, expected))
     # the @ operator reaches the matmul ufunc without the module attribute
     for fn in (cartan._coeff_stacks, cartan._coeff_entries, cartan._images, cartan._double,
-               group._su2_entries, group._evaluate, group._fill, group._chart_args,
-               group._cos_sin):
+               cartan._lin, cartan._turn, group._su2_entries, group._evaluate, group._fill,
+               group._chart_args, group._cos_sin):
         assert not matrix_products(fn), fn
+
+
+# fixed cosines and sines (decimal literals; the second row puts beta, b and
+# theta on their strata): the kernels' sums and products alone fix the bits
+PINNED_COS_SIN = (
+    ((0.6, 0.28, -0.8, 0.96, 0.5, -0.125, 0.7, 0.3, 0.9),
+     (0.8, 0.96, 0.6, -0.28, -0.75, 0.25, 0.2, -0.95, 0.4)),
+    ((1.0, -0.6, 0.0, 0.8, 0.1, 0.2, 1.0, 0.0, -1.0),
+     (0.0, 0.8, 1.0, 0.6, 0.3, -0.4, 0.0, 1.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("kernel, digest", [
+    (cartan.LEFT, "00f1f66f8f9de95a"), (cartan.RIGHT, "c382d1686b06afbe"),
+    (cartan.BOTH, "a3043bfc47eea4c6"), (cartan._REDUCED, "0d3c6ddaf6bcf06b"),
+    ("chart", "1130bf2c94db8739"),
+])
+def test_kernel_bits_are_pinned(kernel, digest):
+    # the float.hex of every entry at the pinned points: a rewrite of a kernel
+    # that reorders or regroups its arithmetic changes a bit and this digest
+    def entries(cos, sin):
+        if kernel == "chart":
+            return group._chart_entries(cos, sin)
+        return cartan._coeff_entries(cos, sin, kernel)
+
+    text = " ".join(float(x).hex() for cos, sin in PINNED_COS_SIN for x in entries(cos, sin))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("fn, calls", [(cartan.frame, 0), (cartan.haar_density, 0),

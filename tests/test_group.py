@@ -242,8 +242,18 @@ def _coeff_calls(side):
             lambda p: (cartan._coeff_stacks(p, side),))
 
 
-# each kernel of group._evaluate, and project's columns by group._fill: the
-# batch call, then the one-point call that row k of each of its arrays equals
+def _off_strata(pts):
+    """A copy of pts with each beta, theta or b that makes a Haar density sine
+    vanish moved to 0.5, where frame takes it."""
+    q = np.array(pts)
+    x = q[..., [1, 3, 5]]
+    q[..., [1, 3, 5]] = np.where(np.abs(np.sin(2 * x)) < 1e-12, 0.5, x)
+    return q
+
+
+# each kernel of group._evaluate, project's columns by group._fill, and the
+# frame and Haar density: the batch call, then the one-point call that row k
+# of each of its arrays equals
 EVALUATED = {
     "chart": (lambda pts: (group.compose_batch(pts),), lambda p: (compose(p),)),
     "psi": (lambda pts: (group._evaluate(phase._psi, group._psi_args, pts, 6).view(complex),),
@@ -252,6 +262,19 @@ EVALUATED = {
        for side in (cartan.LEFT, cartan.RIGHT, cartan.BOTH, cartan._REDUCED)},
     "project": (lambda pts: astuple(states.project(group.compose_batch(pts))),
                 lambda p: astuple(states.project(compose(p)))),
+    "frame": (lambda pts: astuple(cartan.frame(_off_strata(pts))),
+              lambda p: astuple(cartan.frame(_off_strata(p)))),
+    "haar_density": (lambda pts: (cartan.haar_density(pts),),
+                     lambda p: (np.float64(cartan.haar_density(p)),)),
+}
+
+# the kernels group._evaluate runs: kernel, its chart arguments, its row width
+KERNELS = {
+    "chart": (group._chart_entries, group._chart_args, 18),
+    "psi": (phase._psi, group._psi_args, 6),
+    **{side: (lambda cos, sin, side=side: cartan._coeff_entries(cos, sin, side),
+              group._chart_args, 128 if side == cartan.BOTH else 64)
+       for side in (cartan.LEFT, cartan.RIGHT, cartan.BOTH, cartan._REDUCED)},
 }
 
 
@@ -269,6 +292,17 @@ def test_evaluator_rows_equal_one_point_calls_bit_for_bit(kernel, n):
     for k, p in enumerate(pts):
         for got, want in zip(rows, one(p)):
             assert got[k].shape == want.shape and got[k].tobytes() == want.tobytes(), (kernel, k)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_evaluator_gives_one_point_the_row_of_a_batch_of_one(kernel):
+    # an (8,) point skips the block: its (width,) row comes straight from the
+    # kernel's Python floats, with the bytes of the (1, 8) batch's row 0
+    fn, args, width = KERNELS[kernel]
+    for p in edge_points(53)[::9]:
+        row = group._evaluate(fn, args, p, width)
+        assert row.shape == (width,) and row.dtype == float
+        assert row.tobytes() == group._evaluate(fn, args, p[None], width)[0].tobytes(), p
 
 
 def test_compose_batch_rejects_wrong_shape():
@@ -460,15 +494,18 @@ STRATUM_POINTS = (
 
 
 def test_decompose_stack_matches_per_matrix_calls():
-    # off the strata the stack runs the one-matrix arithmetic on columns, and
-    # a stratum row is redone one matrix at a time: the bytes are equal
+    # a stack of any length runs the one-matrix arithmetic on columns, and a
+    # stratum row is redone one matrix at a time: the bytes are equal
     strata = np.concatenate([group.compose_batch(np.array(STRATUM_POINTS)), np.eye(3)[None]])
     haar = group.random_su3(200, np.random.default_rng(13))
     seen = set()
-    for mats in (np.concatenate([haar, strata]), strata):
+    for n in (0, 1, group._COLUMNS_FROM - 1, group._COLUMNS_FROM, len(strata) + len(haar)):
+        mats = np.concatenate([strata, haar])[:n]
         angles, flags = decompose(mats)
-        assert angles.shape == (len(mats), 8) and len(flags) == len(mats)
-        assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
+        assert angles.shape == (n, 8) and angles.dtype == float and len(flags) == n
+        assert all(flags[:len(strata)])
+        if n:
+            assert np.abs(group.compose_batch(angles) - mats).max() <= 1e-14
         for u, row, row_flags in zip(mats, angles, flags):
             single, single_flags = decompose(u)
             assert row_flags == single_flags

@@ -45,6 +45,16 @@ def test_connection_sparsity_and_limits():
     assert cov[7] == pytest.approx(-2 / SQ3)
 
 
+@pytest.mark.parametrize("theta", [1e-3, 1e-5, 1e-8])
+def test_connection_keeps_its_relative_accuracy_as_theta_goes_to_zero(theta):
+    # sin^2 theta comes from sin theta squared, not from 1 - cos 2 theta,
+    # which keeps only an absolute ~1e-16 (1.11e-16 for 8.25e-17 at 1e-8)
+    ss = np.sin(theta) ** 2
+    for beta in (0.3, 1.0, 1.4):
+        cov = phase.connection([0.0, beta, 0.0, theta, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(cov[[0, 2]], [ss * np.cos(2 * beta), ss], rtol=1e-15, atol=0)
+
+
 def test_connection_matches_overlap_derivative():
     def arg_step(p, j, h=1e-6):
         pp, pm = p.copy(), p.copy()
@@ -187,7 +197,7 @@ def test_constant_loop_has_zero_phase():
 
 def test_gamma_circle_closed_form():
     conn, panch = verify.gamma_circle(10_000)
-    assert conn <= 1e-14                # exact up to rounding
+    assert conn <= 1e-15                # exact up to rounding
     assert panch <= 1e-4
     # verify samples the circle once for both routes, with the public calls' bits
     loop = gamma_circle(samples=10_000)
@@ -217,7 +227,7 @@ def test_stokes_rectangle_agreement():
     for bounds in [((0.0, np.pi / 4), (0.0, 2 * np.pi)),
                    ((0.2, 1.1), (0.3, 2.4)),
                    ((0.5, 0.9), (1.0, 1.7))]:
-        assert verify.stokes_rectangle(base, bounds) <= 1e-14    # two exact integrals
+        assert verify.stokes_rectangle(base, bounds) <= 1e-15    # two exact integrals
 
 
 def test_curvature_rectangle_closed_form():
